@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,6 @@ from .search import (
     SearchConfig,
     multi_start_search,
     rationalize,
-    search,
     uniform_c_pattern,
 )
 from .stability import region_boundary, stability_polynomial
@@ -94,10 +92,6 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"expected RE or RE,IM, got {text!r}")
 
 
-def _thread_count() -> int:
-    return max(1, int(os.environ.get("SLRK_THREADS", "1")))
-
-
 def cmd_verify(args) -> int:
     if not 1 <= args.order <= 10:
         print("verify: --order must be between 1 and 10", file=sys.stderr)
@@ -121,22 +115,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    delta_c = Fraction(args.dc)
-    if args.c_pattern:
-        pattern = tuple(Fraction(tok) for tok in args.c_pattern.split(","))
-    else:
-        pattern = uniform_c_pattern(args.stages, delta_c)
-    cfg = SearchConfig(
-        stages=args.stages,
-        target_order=args.order,
-        delta_c=delta_c,
-        c_pattern=pattern,
-        rng_seed=args.seed,
-        max_iters=args.max_iters,
-        residual_tol=args.tol,
-    )
+    try:
+        delta_c = Fraction(args.dc)
+        if args.c_pattern:
+            pattern = tuple(Fraction(tok) for tok in args.c_pattern.split(","))
+        else:
+            pattern = uniform_c_pattern(args.stages, delta_c)
+        cfg = SearchConfig(
+            stages=args.stages,
+            target_order=args.order,
+            delta_c=delta_c,
+            c_pattern=pattern,
+            rng_seed=args.seed,
+            max_iters=args.max_iters,
+            residual_tol=args.tol,
+        )
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"search: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     t0 = time.perf_counter()
-    results = _run_seeds(cfg, args.seeds)
+    results = multi_start_search(cfg, args.seeds)
     out_stem = Path(args.out)
     out_stem.parent.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -195,17 +193,6 @@ def cmd_search(args) -> int:
     manifest.write(out_stem.with_name(f"{out_stem.name}_manifest.json"))
     print(f"{n_converged}/{args.seeds} seeds converged")
     return 0
-
-
-def _run_seeds(cfg: SearchConfig, n_seeds: int):
-    threads = _thread_count()
-    if threads == 1:
-        return multi_start_search(cfg, n_seeds)
-    from concurrent.futures import ThreadPoolExecutor
-
-    seeds = np.random.SeedSequence(cfg.rng_seed).generate_state(n_seeds)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: search(replace(cfg, rng_seed=int(s))), seeds))
 
 
 def cmd_stability(args) -> int:

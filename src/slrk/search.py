@@ -8,6 +8,11 @@ x <- x - gamma * pinv(J) F with a finite-difference Jacobian and an
 SVD pseudoinverse. Converged floating roots are only trusted after
 rationalization reproduces the order conditions exactly.
 
+The residual evaluates the rooted trees as one program over their
+distinct subtrees: each stage vector a.phi is formed once per distinct
+child subtree and shared by every parent that holds it, and all
+elementary weights come from a single contraction with b.
+
 Roots of this system form manifolds, so the Jacobian carries genuinely
 tiny singular values away from noise level; a plain truncated
 pseudoinverse takes enormous steps along those directions and strands
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,21 +73,30 @@ class SearchConfig:
             raise ValueError("stages must be >= 1")
         if self.target_order < 1:
             raise ValueError("target_order must be >= 1")
+        delta_c = Fraction(self.delta_c)
+        if delta_c <= 0:
+            raise ValueError(f"delta_c must be > 0, got {delta_c}")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must be in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.residual_tol > 0:
+            raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
+        if self.stall_window < 1:
+            raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
         pattern = self.c_pattern
         if pattern is None:
-            pattern = uniform_c_pattern(self.stages, self.delta_c)
+            pattern = uniform_c_pattern(self.stages, delta_c)
         pattern = tuple(Fraction(ci) for ci in pattern)
         if len(pattern) != self.stages:
             raise ValueError("c_pattern length must equal stages")
         if pattern[0] != 0:
             raise ValueError("c_pattern must start at 0")
         for lo, hi in zip(pattern, pattern[1:]):
-            if hi - lo not in (Fraction(0), Fraction(self.delta_c)):
+            if hi - lo not in (Fraction(0), delta_c):
                 raise ValueError("c_pattern increments must be 0 or delta_c")
         object.__setattr__(self, "c_pattern", pattern)
-        object.__setattr__(self, "delta_c", Fraction(self.delta_c))
+        object.__setattr__(self, "delta_c", delta_c)
 
     @property
     def n_unknowns(self) -> int:
@@ -91,6 +105,13 @@ class SearchConfig:
     @property
     def n_residuals(self) -> int:
         return len(enumerate_trees(self.target_order)) + self.stages - 1
+
+    @cached_property
+    def _c_targets(self) -> np.ndarray:
+        """Float abscissa targets of stages 2..s (the grid rows of the residual)."""
+        targets = np.array([float(ci) for ci in self.c_pattern[1:]])
+        targets.flags.writeable = False
+        return targets
 
 
 class FloatTableau(NamedTuple):
@@ -124,22 +145,30 @@ class SearchResult:
 
 @lru_cache(maxsize=None)
 def _tree_program(target_order: int):
-    """Topologically ordered unique subtrees plus per-condition 1/density."""
+    """Order conditions as a program over distinct subtrees, plus 1/density.
+
+    enumerate_trees orders trees by node count, so every subtree of a tree
+    is itself an earlier tree: node k is order condition k and its children
+    come before it. Step k holds node k's children and whether any parent
+    holds node k as a child; only then is a.phi_k needed, and it is formed
+    once and shared by all those parents.
+    """
     trees = enumerate_trees(target_order)
-    node_children: list[tuple[int, ...]] = []
-    node_index: dict = {}
-
-    def intern(t):
-        if t in node_index:
-            return node_index[t]
-        kids = tuple(intern(c) for c in t.children)
-        node_index[t] = len(node_children)
-        node_children.append(kids)
-        return node_index[t]
-
-    condition_nodes = tuple(intern(t) for t in trees)
+    index = {t: k for k, t in enumerate(trees)}
+    children = [tuple(index[c] for c in t.children) for t in trees]
+    used = {kid for kids in children for kid in kids}
+    program = tuple((kids, k in used) for k, kids in enumerate(children))
     inv_gamma = np.array([1.0 / float(density(t)) for t in trees])
-    return tuple(node_children), condition_nodes, inv_gamma
+    return program, inv_gamma
+
+
+@lru_cache(maxsize=None)
+def _strict_lower(stages: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the packed strictly-lower entries of a."""
+    rows, cols = np.tril_indices(stages, k=-1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def unpack(x: np.ndarray, stages: int) -> FloatTableau:
@@ -147,16 +176,14 @@ def unpack(x: np.ndarray, stages: int) -> FloatTableau:
     x = np.asarray(x, dtype=float)
     b = x[:stages].copy()
     a = np.zeros((stages, stages))
-    rows, cols = np.tril_indices(stages, k=-1)
-    a[rows, cols] = x[stages:]
+    a[_strict_lower(stages)] = x[stages:]
     return FloatTableau(a=a, b=b)
 
 
 def pack(tab: FloatTableau) -> np.ndarray:
     """Flatten (b, strictly-lower a) into the search vector."""
     stages = tab.b.shape[0]
-    rows, cols = np.tril_indices(stages, k=-1)
-    return np.concatenate([tab.b, tab.a[rows, cols]])
+    return np.concatenate([tab.b, tab.a[_strict_lower(stages)]])
 
 
 def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
@@ -166,26 +193,25 @@ def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     nbatch = xs.shape[0]
     b = xs[:, :s]
     a = np.zeros((nbatch, s, s))
-    rows, cols = np.tril_indices(s, k=-1)
+    rows, cols = _strict_lower(s)
     a[:, rows, cols] = xs[:, s:]
 
-    node_children, condition_nodes, inv_gamma = _tree_program(cfg.target_order)
+    program, inv_gamma = _tree_program(cfg.target_order)
     phi: list[np.ndarray] = []
-    ones = np.ones((nbatch, s))
-    for kids in node_children:
-        if not kids:
-            phi.append(ones)
-            continue
-        acc = np.einsum("bij,bj->bi", a, phi[kids[0]])
-        for kid in kids[1:]:
-            acc = acc * np.einsum("bij,bj->bi", a, phi[kid])
+    a_phi: dict[int, np.ndarray] = {}
+    for node, (kids, used) in enumerate(program):
+        if kids:
+            acc = a_phi[kids[0]]
+            for kid in kids[1:]:
+                acc = acc * a_phi[kid]
+        else:
+            acc = np.ones((nbatch, s))
         phi.append(acc)
-    weights = np.stack([np.einsum("bi,bi->b", b, phi[node]) for node in condition_nodes],
-                       axis=1)
-    f_trees = weights - inv_gamma
-
-    pattern = np.array([float(ci) for ci in cfg.c_pattern])
-    f_absc = a.sum(axis=2)[:, 1:] - pattern[1:]
+        if used:
+            a_phi[node] = np.einsum("bij,bj->bi", a, acc)
+    phi_all = np.concatenate(phi, axis=1).reshape(nbatch, len(phi), s)
+    f_trees = np.einsum("bi,bni->bn", b, phi_all) - inv_gamma
+    f_absc = a.sum(axis=2)[:, 1:] - cfg._c_targets
     return np.concatenate([f_trees, f_absc], axis=1)
 
 
@@ -249,11 +275,13 @@ def search(cfg: SearchConfig) -> SearchResult:
     Steps that fail to reduce the residual norm are rejected: the
     regularization is grown and the step retried from the same point
     (reusing the SVD), up to the lambda ceiling. One iteration means one
-    Jacobian evaluation.
+    Jacobian evaluation; the residual is evaluated once at the start and
+    once per trial step, and an accepted trial's residual is reused.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     x = cfg.init_scale * rng.standard_normal(cfg.n_unknowns)
-    resid = float(np.linalg.norm(residual_vector(x, cfg), np.inf))
+    f = residual_vector(x, cfg)
+    resid = float(np.linalg.norm(f, np.inf))
     reg_lambda = LAMBDA_INIT
     history = [resid]
     iters = 0
@@ -275,7 +303,6 @@ def search(cfg: SearchConfig) -> SearchResult:
                 status = "stalled"
                 break
         try:
-            f = residual_vector(x, cfg)
             svd = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
         except np.linalg.LinAlgError:
             status = "stalled"
@@ -284,9 +311,10 @@ def search(cfg: SearchConfig) -> SearchResult:
         accepted = False
         while reg_lambda <= LAMBDA_MAX:
             x_new = x - gamma * _filtered_step(svd, f, reg_lambda)
-            norm_new = float(np.linalg.norm(residual_vector(x_new, cfg), np.inf))
+            f_new = residual_vector(x_new, cfg)
+            norm_new = float(np.linalg.norm(f_new, np.inf))
             if norm_new < resid:
-                x, resid = x_new, norm_new
+                x, f, resid = x_new, f_new, norm_new
                 reg_lambda = max(reg_lambda / LAMBDA_SHRINK, LAMBDA_MIN)
                 accepted = True
                 break

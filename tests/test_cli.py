@@ -106,19 +106,20 @@ def test_verify_order_out_of_range(capsys):
     assert main(["verify", "--tableau", "rk4", "--order", "11"]) == 1
 
 
-def test_search_threaded_run_matches_sequential(tmp_path, monkeypatch):
-    args = ["search", "--stages", "4", "--order", "4", "--dc", "1/2",
-            "--c-pattern", "0,1/2,1/2,1", "--seeds", "4", "--seed", "11"]
-    main(args + ["--out", str(tmp_path / "seq")])
-    monkeypatch.setenv("SLRK_THREADS", "3")
-    main(args + ["--out", str(tmp_path / "par")])
-
-    def essentials(stem):
-        data = json.loads((tmp_path / f"{stem}_summary.json").read_text())
-        return [(s["rng_seed"], s["status"], s["final_residual"], s["iterations"])
-                for s in data["seeds"]]
-
-    assert essentials("seq") == essentials("par")
+@pytest.mark.parametrize("bad,message", [
+    (["--dc=-1/2"], "delta_c must be > 0"),
+    (["--dc", "0"], "delta_c must be > 0"),
+    (["--dc", "1/0"], "search: "),
+    (["--dc", "1/2", "--max-iters", "-1"], "max_iters must be >= 0"),
+    (["--dc", "1/2", "--tol", "0"], "residual_tol must be > 0"),
+])
+def test_search_rejects_bad_config_as_usage_error(tmp_path, capsys, bad, message):
+    out = tmp_path / "run"
+    code = main(["search", "--stages", "3", "--order", "3", "--seeds", "2",
+                 "--out", str(out)] + bad)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_integrate_scalar_json(capsys):

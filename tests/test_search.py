@@ -1,6 +1,9 @@
 """Newton search: residuals, Jacobian, stepping, rationalization."""
 
+import importlib
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from slrk.search import (
     uniform_c_pattern,
     unpack,
 )
-from slrk.order_conditions import order_residuals, verified_order
-from slrk.tableau import rk6_tableau
+from slrk.order_conditions import density, enumerate_trees, order_residuals, verified_order
+from slrk.tableau import Tableau, rk6_tableau
+
+# slrk re-exports the function `search`, which shadows the module attribute.
+search_module = importlib.import_module("slrk.search")
 
 
 def rk6_config(**kw):
@@ -48,6 +54,97 @@ def test_residual_zero_at_exact_root():
     assert np.max(np.abs(f)) <= 1e-14
 
 
+def reference_residual_batch(xs, cfg):
+    """Plain per-tree evaluator: one einsum per child, one per weight."""
+    s = cfg.stages
+    nbatch = xs.shape[0]
+    b = xs[:, :s]
+    a = np.zeros((nbatch, s, s))
+    rows, cols = np.tril_indices(s, k=-1)
+    a[:, rows, cols] = xs[:, s:]
+
+    def phi(tree):
+        if not tree.children:
+            return np.ones((nbatch, s))
+        return reduce(mul, [np.einsum("bij,bj->bi", a, phi(c)) for c in tree.children])
+
+    trees = enumerate_trees(cfg.target_order)
+    weights = np.stack([np.einsum("bi,bi->b", b, phi(t)) for t in trees], axis=1)
+    inv_gamma = np.array([1.0 / float(density(t)) for t in trees])
+    targets = np.array([float(ci) for ci in cfg.c_pattern])
+    return np.concatenate([weights - inv_gamma, a.sum(axis=2)[:, 1:] - targets[1:]], axis=1)
+
+
+@pytest.mark.parametrize("stages,order", [(4, 4), (7, 6), (8, 6)])
+def test_residual_batch_bitwise_matches_per_tree_reference(stages, order):
+    cfg = SearchConfig(stages=stages, target_order=order, delta_c=Fraction(1, 6))
+    rng = np.random.default_rng(stages * 10 + order)
+    for nbatch in (1, 2, 2 * cfg.n_unknowns):
+        for scale in (1e-3, 0.5, 3.0):
+            xs = scale * rng.standard_normal((nbatch, cfg.n_unknowns))
+            got = search_module._residual_batch(xs, cfg)
+            assert got.shape == (nbatch, cfg.n_residuals)
+            assert np.array_equal(got, reference_residual_batch(xs, cfg))
+
+
+def test_residual_batch_rows_independent_of_batch():
+    cfg = rk6_config()
+    xs = 0.5 * np.random.default_rng(3).standard_normal((2 * cfg.n_unknowns + 1, 36))
+    batch = search_module._residual_batch(xs, cfg)
+    for k, x in enumerate(xs):
+        assert np.array_equal(batch[k], residual_vector(x, cfg))
+
+
+def test_rk6_float_residuals_match_exact_order_residuals():
+    cfg = rk6_config()
+    f = residual_vector(rk6_packed(), cfg)
+    assert np.max(np.abs(f)) <= 1e-15
+    exact = np.array([float(c.residual) for c in order_residuals(rk6_tableau(), 6)])
+    assert np.max(np.abs(f[:37] - exact)) <= 1e-15
+    # Off the root: rational perturbations of rk6 give nonzero exact residuals,
+    # which the float tree rows reproduce to rounding.
+    t6 = rk6_tableau()
+    a = [list(row) for row in t6.a]
+    b = list(t6.b)
+    a[3][1] += Fraction(1, 7)
+    a[6][4] -= Fraction(2, 13)
+    b[2] += Fraction(1, 11)
+    perturbed = Tableau(tuple(tuple(row) for row in a), tuple(b))
+    exact = np.array([float(c.residual) for c in order_residuals(perturbed, 6)])
+    assert np.max(np.abs(exact)) > 1e-2
+    af, bf, _ = perturbed.as_floats()
+    f = residual_vector(pack(FloatTableau(a=af, b=bf)), cfg)
+    assert np.max(np.abs(f[:37] - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("stages,rng_seed", [(8, 1), (8, 2), (7, 3)])
+def test_search_evaluates_residual_once_per_trial_step(monkeypatch, stages, rng_seed):
+    if stages == 8:
+        cfg = rk6_config(rng_seed=rng_seed, max_iters=60)
+    else:
+        cfg = SearchConfig(stages=7, target_order=6, delta_c=Fraction(1, 6),
+                           rng_seed=rng_seed, max_iters=60)
+    counts = {"residual": 0, "trial": 0, "jacobian": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(search_module, "residual_vector",
+                        counting("residual", search_module.residual_vector))
+    monkeypatch.setattr(search_module, "_filtered_step",
+                        counting("trial", search_module._filtered_step))
+    monkeypatch.setattr(search_module, "jacobian",
+                        counting("jacobian", search_module.jacobian))
+    result = search(cfg)
+    iterations = len(result.history) - 1
+    assert counts["jacobian"] == iterations
+    assert counts["trial"] > iterations  # some trial steps were rejected
+    assert counts["residual"] == 1 + counts["trial"]
+
+
 def test_residual_at_zero_vector():
     cfg = rk6_config()
     f = residual_vector(np.zeros(36), cfg)
@@ -69,6 +166,27 @@ def test_config_validation():
                      c_pattern=(0, Fraction(1, 2), Fraction(2, 3)))
     with pytest.raises(ValueError):
         SearchConfig(stages=2, target_order=2, delta_c=Fraction(1, 2), damping=0.0)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"delta_c": Fraction(-1, 2)}, "delta_c must be > 0"),
+    ({"delta_c": 0}, "delta_c must be > 0"),
+    ({"stall_window": 0}, "stall_window must be >= 1"),
+    ({"max_iters": -1}, "max_iters must be >= 0"),
+    ({"residual_tol": 0.0}, "residual_tol must be > 0"),
+    ({"residual_tol": float("nan")}, "residual_tol must be > 0"),
+])
+def test_config_rejects_bad_iteration_settings(bad, message):
+    kw = {"stages": 3, "target_order": 3, "delta_c": Fraction(1, 3), **bad}
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**kw)
+
+
+def test_config_allows_zero_iterations():
+    cfg = rk6_config(max_iters=0, stall_window=1)
+    result = search(cfg)
+    assert result.status == "stalled"
+    assert len(result.history) == 1
 
 
 def test_jacobian_linear_rows():
