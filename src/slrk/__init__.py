@@ -75,4 +75,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -234,7 +234,7 @@ def cmd_integrate(args) -> int:
         lam1 = _parse_complex(args.lam1)
         lam2 = _parse_complex(args.lam2)
         problem = OdeProblem(g=lambda u: lam1 * u,
-                             A=diagonal_operator(np.array([lam2])), n=1)
+                             A=diagonal_operator(np.array([lam2])))
         u0 = np.ones(1, dtype=complex)
     else:
         grid = navier_stokes.make_grid(args.n)

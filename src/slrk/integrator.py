@@ -36,7 +36,6 @@ class OdeProblem:
 
     g: Callable[[np.ndarray], np.ndarray]
     A: LinearOperator | None = None
-    n: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     grid step delta_c, and (1 - c_s)/delta_c must be a whole number of
     grid steps; exactly one propagator exp(delta_c*h*A) is built.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h}")
     spacing = spacing_report(tableau)
     a, b, c = tableau.as_floats()
     s = tableau.s

@@ -72,7 +72,6 @@ class Propagator:
 
     kind: str
     data: np.ndarray
-    tau: float
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -107,8 +106,8 @@ def make_propagator(A: LinearOperator, tau: float) -> Propagator:
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     if A.kind == "diagonal":
-        return Propagator("diagonal", np.exp(tau * A.data), float(tau))
-    return Propagator("dense", expm(tau * A.data), float(tau))
+        return Propagator("diagonal", np.exp(tau * A.data))
+    return Propagator("dense", expm(tau * A.data))
 
 
 def apply(e: Propagator, v: np.ndarray) -> np.ndarray:

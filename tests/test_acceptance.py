@@ -66,7 +66,7 @@ def test_criterion_3_oracle_equivalence():
             g = lambda v: alpha * v * v + 0.2 * np.roll(v, 1)
             u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             A = diagonal_operator(lam)
-            plan = make_plan(OdeProblem(g=g, A=A, n=int(n)), tab, h)
+            plan = make_plan(OdeProblem(g=g, A=A), tab, h)
             fast = slrk_step(plan, u)
             ref = lawson_step_general(tab, g, A, u, h)
             rel = float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref)))
@@ -89,7 +89,7 @@ def test_criterion_4_two_rate_amplification_grid():
         for z1 in z1s:
             for z2 in z2s:
                 prob = OdeProblem(g=lambda v: z1 * v,
-                                  A=diagonal_operator(np.array([z2])), n=1)
+                                  A=diagonal_operator(np.array([z2])))
                 got = slrk_step(make_plan(prob, tab, 1.0),
                                 np.ones(1, dtype=complex))[0]
                 want = np.exp(z2) * phi(z1)
@@ -162,7 +162,7 @@ def test_criterion_8_linear_exactness():
     for make in (rk4_tableau, heun3_tableau, rk6_tableau):
         lam = rng.uniform(-30, 0, 8) + 1j * rng.uniform(-5, 5, 8)
         u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        prob = OdeProblem(g=lambda v: 0 * v, A=diagonal_operator(lam), n=8)
+        prob = OdeProblem(g=lambda v: 0 * v, A=diagonal_operator(lam))
         plan = make_plan(prob, make(), h)
         got = integrate(plan, u0, n_steps)
         want = np.exp(lam * h * n_steps) * u0

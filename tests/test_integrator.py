@@ -31,7 +31,7 @@ CONFORMING = [rk4_tableau, heun3_tableau, rk6_tableau]
 
 
 def scalar_problem(lam, A=None):
-    return OdeProblem(g=lambda u: lam * u, A=A, n=1)
+    return OdeProblem(g=lambda u: lam * u, A=A)
 
 
 def polyval(coeffs, z):
@@ -42,7 +42,7 @@ def polyval(coeffs, z):
 
 
 def test_rk_step_zero_rhs_is_identity():
-    plan = make_plan(OdeProblem(g=lambda u: 0 * u, A=None, n=3), rk4_tableau(), 0.2)
+    plan = make_plan(OdeProblem(g=lambda u: 0 * u, A=None), rk4_tableau(), 0.2)
     u = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(rk_step(plan, u), u)
 
@@ -89,7 +89,7 @@ def test_lawson_general_reduces_to_rk_with_zero_operator():
     u = rng.standard_normal(5)
     g = lambda v: np.sin(v)
     got = lawson_step_general(rk4_tableau(), g, zero_operator(5), u, 0.3)
-    plan = make_plan(OdeProblem(g=g, A=None, n=5), rk4_tableau(), 0.3)
+    plan = make_plan(OdeProblem(g=g, A=None), rk4_tableau(), 0.3)
     want = rk_step(plan, u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -113,7 +113,7 @@ def test_slrk_equals_general_lawson_oracle(make):
         alpha = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = lambda v: alpha * v * v + 0.2 * np.roll(v, 1)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        plan = make_plan(OdeProblem(g=g, A=diagonal_operator(lam), n=n), tab, 0.1)
+        plan = make_plan(OdeProblem(g=g, A=diagonal_operator(lam)), tab, 0.1)
         fast = slrk_step(plan, u)
         ref = lawson_step_general(tab, g, diagonal_operator(lam), u, 0.1)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -122,8 +122,8 @@ def test_slrk_equals_general_lawson_oracle(make):
 def test_slrk_with_zero_operator_matches_rk_step():
     g = lambda v: np.cos(v)
     u = np.linspace(-1, 1, 7)
-    plan0 = make_plan(OdeProblem(g=g, A=zero_operator(7), n=7), rk6_tableau(), 0.2)
-    plan = make_plan(OdeProblem(g=g, A=None, n=7), rk6_tableau(), 0.2)
+    plan0 = make_plan(OdeProblem(g=g, A=zero_operator(7)), rk6_tableau(), 0.2)
+    plan = make_plan(OdeProblem(g=g, A=None), rk6_tableau(), 0.2)
     got = slrk_step(plan0, u.astype(complex))
     want = rk_step(plan, u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -150,8 +150,8 @@ def test_rk6_propagator_application_count():
     # Six increment events (stages 2,4,5,6,7,8): 6 applications to u plus
     # sum of (j-1) slope applications = 1+3+4+5+6+7 = 26; 32 total.
     tab = rk6_tableau()
-    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0])),
-                                n=1), tab, 0.1)
+    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
+                     tab, 0.1)
     assert plan.step_before_stage == (False, True, False, True, True, True, True, True)
     assert plan.trailing_steps == 0
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
@@ -160,16 +160,16 @@ def test_rk6_propagator_application_count():
 
 def test_rk4_propagator_application_count_matches_unrolled_listing():
     # Two blocks: after k1 (u,k1) and after k3 (u,k1,k2,k3): 2 + 4 = 6.
-    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0])),
-                                n=1), rk4_tableau(), 0.1)
+    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
+                     rk4_tableau(), 0.1)
     assert plan.step_before_stage == (False, True, False, True)
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     assert total == 2 + 4
 
 
 def test_heun3_trailing_steps():
-    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0])),
-                                n=1), heun3_tableau(), 0.1)
+    plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
+                     heun3_tableau(), 0.1)
     assert plan.trailing_steps == 1
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     # events at stages 2 and 3 (1+1 u, 1+2 k) plus trailing (1 u, 3 k)
@@ -183,8 +183,7 @@ def test_two_rate_scalar_amplification():
         for z1 in (0.5 + 1.0j, -1.7, 1.9j):
             for z2 in (-15.0, -4.0 + 2.0j, 0.0):
                 prob = OdeProblem(g=lambda v: z1 * v,
-                                  A=diagonal_operator(np.array([z2], dtype=complex)),
-                                  n=1)
+                                  A=diagonal_operator(np.array([z2], dtype=complex)))
                 plan = make_plan(prob, tab, 1.0)
                 got = slrk_step(plan, np.ones(1, dtype=complex))[0]
                 want = np.exp(z2) * polyval(poly[tab.name], z1)
@@ -208,16 +207,25 @@ def test_nonconforming_tableau_with_operator_rejected():
     )
     A = diagonal_operator(np.array([-1.0]))
     with pytest.raises(ValueError):
-        make_plan(OdeProblem(g=lambda v: v, A=A, n=1), t, 0.1)
+        make_plan(OdeProblem(g=lambda v: v, A=A), t, 0.1)
     # without the operator the same tableau steps fine
-    plan = make_plan(OdeProblem(g=lambda v: v, A=None, n=1), t, 0.1)
+    plan = make_plan(OdeProblem(g=lambda v: v, A=None), t, 0.1)
     rk_step(plan, np.ones(1))
 
 
 def test_degenerate_spacing_with_operator_rejected():
     A = diagonal_operator(np.array([-1.0]))
     with pytest.raises(ValueError):
-        make_plan(OdeProblem(g=lambda v: v, A=A, n=1), euler_tableau(), 0.1)
+        make_plan(OdeProblem(g=lambda v: v, A=A), euler_tableau(), 0.1)
+
+
+@pytest.mark.parametrize("h", [-0.1, 0.0, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("with_operator", [True, False])
+def test_make_plan_rejects_bad_step_size(h, with_operator):
+    # Without the check, h = -0.1 at lambda = -1e3 builds a propagator of ~5e21.
+    A = diagonal_operator(np.array([-1e3])) if with_operator else None
+    with pytest.raises(ValueError, match="step size h must be finite and positive"):
+        make_plan(OdeProblem(g=lambda v: v, A=A), rk6_tableau(), h)
 
 
 def test_linear_diagonal_integration_is_exact():
@@ -226,7 +234,7 @@ def test_linear_diagonal_integration_is_exact():
     u0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     h, n_steps = 0.05, 200
     for make in CONFORMING:
-        prob = OdeProblem(g=lambda v: 0 * v, A=diagonal_operator(lam), n=8)
+        prob = OdeProblem(g=lambda v: 0 * v, A=diagonal_operator(lam))
         plan = make_plan(prob, make(), h)
         got = integrate(plan, u0, n_steps)
         want = np.exp(lam * h * n_steps) * u0
@@ -235,7 +243,7 @@ def test_linear_diagonal_integration_is_exact():
 
 def convergence_error(tab, n_steps, t_final=2.0):
     # smooth weakly nonlinear oscillator; tight-step run is the reference
-    prob = OdeProblem(g=lambda v: 1j * v + 0.05 * v * v, A=None, n=1)
+    prob = OdeProblem(g=lambda v: 1j * v + 0.05 * v * v, A=None)
     ref = integrate(make_plan(prob, tab, t_final / 8192), np.array([1.0 + 0j]), 8192)
     u = integrate(make_plan(prob, tab, t_final / n_steps), np.array([1.0 + 0j]), n_steps)
     return abs(u[0] - ref[0])
@@ -254,7 +262,7 @@ def test_rk6_halving_reduces_error_sixtyfourfold():
 
 
 def test_integrate_records_trajectory():
-    prob = OdeProblem(g=lambda v: -v, A=None, n=2)
+    prob = OdeProblem(g=lambda v: -v, A=None)
     plan = make_plan(prob, rk4_tableau(), 0.1)
     traj = integrate(plan, np.ones(2), 5, record=True)
     assert traj.shape == (6, 2)
@@ -264,7 +272,7 @@ def test_integrate_records_trajectory():
 
 
 def test_non_finite_rhs_aborts_with_diagnostic():
-    prob = OdeProblem(g=lambda v: v / 0.0, A=None, n=1)
+    prob = OdeProblem(g=lambda v: v / 0.0, A=None)
     plan = make_plan(prob, rk4_tableau(), 0.1)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError):

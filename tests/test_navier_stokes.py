@@ -23,6 +23,39 @@ def direct_dft2(field):
     return out
 
 
+def reflected_conjugate(field_hat):
+    """conj(F[-kx, -ky]); a Hermitian spectrum equals it exactly."""
+    n = field_hat.shape[0]
+    rev = (-np.arange(n)) % n
+    return np.conj(field_hat[np.ix_(rev, rev)])
+
+
+def random_hermitian_state(n, rng):
+    """Hermitian coefficients on every mode: Nyquist row and column, and
+    everything outside the dealias mask, with a nonzero (real) mean."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * n * n
+    return 0.5 * (z + reflected_conjugate(z))
+
+
+def full_fft_rhs(grid, omega_hat, include_forcing=True):
+    """The original full complex-FFT right-hand side, kept as the oracle."""
+    kx, ky = grid.kx, grid.ky
+    k2 = grid.k_squared.astype(float)
+    inv_k2 = np.zeros_like(k2)
+    inv_k2[k2 > 0] = 1.0 / k2[k2 > 0]
+    psi_hat = omega_hat * inv_k2
+    u = np.fft.ifft2(1j * ky * psi_hat).real
+    v = np.fft.ifft2(-1j * kx * psi_hat).real
+    wx = np.fft.ifft2(1j * kx * omega_hat).real
+    wy = np.fft.ifft2(1j * ky * omega_hat).real
+    out = -np.fft.fft2(u * wx + v * wy) * grid.dealias_mask
+    if include_forcing:
+        out = out + ns.forcing_spectrum(grid)
+    out = 0.5 * (out + reflected_conjugate(out))
+    out[0, 0] = 0.0
+    return out
+
+
 def physical_initial_field(n):
     x = 2 * np.pi * np.arange(n) / n
     xx, yy = np.meshgrid(x, x, indexing="ij")
@@ -76,7 +109,7 @@ def test_initial_condition_matches_physical_transform():
 def test_initial_condition_hermitian():
     grid = ns.make_grid(32)
     w = ns.initial_condition(grid)
-    assert np.array_equal(ns.hermitian_project(w), w)
+    assert np.array_equal(reflected_conjugate(w), w)
     assert np.max(np.abs(np.fft.ifft2(w).imag)) <= 1e-13 * np.max(np.abs(w)) / 32 ** 2
 
 
@@ -130,8 +163,25 @@ def test_rhs_preserves_hermitian_symmetry_and_zero_mean():
     w = ns.initial_condition(grid)
     for _ in range(3):
         w = w + 0.01 * ns.nonlinear_rhs(grid, w)
-        assert np.array_equal(ns.hermitian_project(w), w)
+        assert np.array_equal(reflected_conjugate(w), w)
         assert w[0, 0] == 0
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+@pytest.mark.parametrize("include_forcing", [True, False])
+def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
+    grid = ns.make_grid(n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        w = random_hermitian_state(n, rng)
+        before = w.copy()
+        got = ns.nonlinear_rhs(grid, w, include_forcing=include_forcing)
+        want = full_fft_rhs(grid, w, include_forcing=include_forcing)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # exactly Hermitian with a zero mean by construction; input untouched
+        assert np.array_equal(got, reflected_conjugate(got))
+        assert got[0, 0] == 0
+        assert np.array_equal(w, before)
 
 
 def test_rhs_rejects_non_finite_state():
