@@ -49,7 +49,6 @@ from .integrator import (
     integrate,
     lawson_step_general,
     make_plan,
-    rk_step,
     slrk_step,
 )
 from .stability import (
@@ -64,10 +63,8 @@ from .search import (
     FloatTableau,
     SearchConfig,
     SearchResult,
-    SearchState,
     jacobian,
     multi_start_search,
-    newton_step,
     rationalize,
     residual_vector,
     search,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, navier_stokes
-from .integrator import OdeProblem, integrate, make_plan, slrk_step
+from .integrator import OdeProblem, integrate, make_plan
 from .linop import diagonal_operator
 from .order_conditions import order_residuals, verified_order
 from .search import (
@@ -324,6 +324,12 @@ def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
 
 
 def cmd_ns_run(args) -> int:
+    if args.steps < 1:
+        print(f"ns-run: --steps must be >= 1, got {args.steps}", file=sys.stderr)
+        return USAGE_ERROR
+    if args.every < 0:
+        print(f"ns-run: --every must be >= 0, got {args.every}", file=sys.stderr)
+        return USAGE_ERROR
     t0 = time.perf_counter()
     tab = load_tableau(args.tableau)
     grid = navier_stokes.make_grid(args.n)
@@ -334,12 +340,15 @@ def cmd_ns_run(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for step in range(1, args.steps + 1):
-        w_hat = slrk_step(plan, w_hat)
-        if args.every and step % args.every == 0 and step < args.steps:
-            path = out.with_name(f"{out.stem}_step{step}{out.suffix}")
-            write_snapshot(path, navier_stokes.vorticity_field(w_hat), step * h)
-            outputs.append(path)
+    chunk = args.every or args.steps
+    done = 0
+    while args.steps - done > chunk:
+        w_hat = integrate(plan, w_hat, chunk)
+        done += chunk
+        path = out.with_name(f"{out.stem}_step{done}{out.suffix}")
+        write_snapshot(path, navier_stokes.vorticity_field(w_hat), done * h)
+        outputs.append(path)
+    w_hat = integrate(plan, w_hat, args.steps - done)
     write_snapshot(out, navier_stokes.vorticity_field(w_hat), args.t)
     outputs.append(out)
     manifest = RunManifest(

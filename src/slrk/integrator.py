@@ -1,18 +1,20 @@
 """Fixed-step integration of du/dt = g(u) + A u.
 
-Three steppers:
+Two steppers:
 
-* ``rk_step``: classical explicit Runge-Kutta (no linear operator).
-* ``lawson_step_general``: the integrating-factor form with one
-  exponential per stage pair. Reference semantics, diagonal A only;
-  used as the oracle the fast stepper is tested against.
 * ``slrk_step``: simple Lawson stepping for tableaux whose abscissae are
   ordered and equally spaced, so a single precomputed propagator
   exp(delta_c * h * A) suffices. Whenever the abscissa advances by one
   grid step, the running state and all stored slopes are multiplied by
   that propagator; if the last abscissa falls short of 1, the remaining
   grid steps are applied before the final combination so the step agrees
-  exactly with the general form.
+  exactly with the general form. Without A it is the classical explicit
+  Runge-Kutta step, for any tableau.
+* ``lawson_step_general``: the integrating-factor form with one
+  exponential per stage pair. Reference semantics, diagonal A only;
+  used as the oracle the fast stepper is tested against.
+
+``integrate`` is the one stepping loop over ``slrk_step``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .linop import LinearOperator, Propagator, apply, make_propagator
-from .tableau import SpacingReport, Tableau, spacing_report
+from .tableau import Tableau, spacing_report
 
 
 class NonFiniteStateError(RuntimeError):
@@ -45,11 +47,9 @@ class StepPlan:
     problem: OdeProblem
     tableau: Tableau
     h: float
-    spacing: SpacingReport
     propagator: Propagator | None
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
     step_before_stage: tuple[bool, ...]
     trailing_steps: int
 
@@ -64,7 +64,7 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and positive, got {h}")
     spacing = spacing_report(tableau)
-    a, b, c = tableau.as_floats()
+    a, b, _ = tableau.as_floats()
     s = tableau.s
     step_before = [False] * s
     trailing = 0
@@ -95,11 +95,9 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
         problem=problem,
         tableau=tableau,
         h=h,
-        spacing=spacing,
         propagator=propagator,
         a=a,
         b=b,
-        c=c,
         step_before_stage=tuple(step_before),
         trailing_steps=trailing,
     )
@@ -112,27 +110,8 @@ def _slope(plan: StepPlan, u: np.ndarray, stage: int) -> np.ndarray:
     return k
 
 
-def rk_step(plan: StepPlan, u: np.ndarray) -> np.ndarray:
-    """One classical explicit Runge-Kutta step; the plan must have no A."""
-    if plan.problem.A is not None:
-        raise ValueError("rk_step requires a plan without a linear operator")
-    a, b, s = plan.a, plan.b, plan.tableau.s
-    k = [_slope(plan, u, 0)]
-    for j in range(1, s):
-        stage = u
-        for m in range(j):
-            if a[j, m] != 0.0:
-                stage = stage + a[j, m] * k[m]
-        k.append(_slope(plan, stage, j))
-    out = u
-    for i in range(s):
-        if b[i] != 0.0:
-            out = out + b[i] * k[i]
-    return out
-
-
 def slrk_step(plan: StepPlan, u: np.ndarray) -> np.ndarray:
-    """One simple Lawson Runge-Kutta step (reduces to rk_step when A is absent)."""
+    """One simple Lawson Runge-Kutta step (classical explicit RK when A is absent)."""
     a, b, s, e = plan.a, plan.b, plan.tableau.s, plan.propagator
     k = [_slope(plan, u, 0)]
     for j in range(1, s):

@@ -1,8 +1,13 @@
 """Rooted-tree order conditions for explicit Runge-Kutta tableaux.
 
 A scheme has order p iff the elementary weight of every rooted tree t
-with at most p nodes equals 1/density(t). All evaluation here is exact
-rational arithmetic; order 6 involves 37 trees.
+with at most p nodes equals 1/density(t); order 6 involves 37 trees.
+
+The stage weights of all trees come from one program over their distinct
+subtrees, which forms each stage vector a.phi once per distinct child
+subtree. The same program runs on float arrays for the search residual
+(slrk.search) and on object arrays of Fractions for the exact
+verification here.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .tableau import Tableau
 
@@ -119,34 +126,54 @@ def density(t: RootedTree) -> Fraction:
     return gamma
 
 
-def _stage_weights(tab: Tableau, t: RootedTree, cache) -> tuple[Fraction, ...]:
-    """Per-stage weight vector phi_i(t) for the elementary weight."""
-    got = cache.get(t)
-    if got is not None:
-        return got
-    s = tab.s
-    if not t.children:
-        phi = (Fraction(1),) * s
-    else:
-        phi = [Fraction(1)] * s
-        for child in t.children:
-            child_phi = _stage_weights(tab, child, cache)
-            for i in range(s):
-                acc = Fraction(0)
-                for j in range(i):
-                    aij = tab.a[i][j]
-                    if aij:
-                        acc += aij * child_phi[j]
-                phi[i] *= acc
-        phi = tuple(phi)
-    cache[t] = phi
-    return phi
+@lru_cache(maxsize=None)
+def _program(max_order: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """The trees of order <= max_order as a program over distinct subtrees.
+
+    enumerate_trees orders trees by node count, so every subtree of a tree
+    is itself an earlier tree. Step k holds the indices of tree k's children
+    and whether any tree holds tree k as a child; only then is a.phi_k
+    needed, and it is formed once and shared by all those parents.
+    """
+    trees = enumerate_trees(max_order)
+    index = {t: k for k, t in enumerate(trees)}
+    children = [tuple(index[c] for c in t.children) for t in trees]
+    used = {kid for kids in children for kid in kids}
+    return tuple((kids, k in used) for k, kids in enumerate(children))
+
+
+def _stage_weights(a: np.ndarray, max_order: int):
+    """Yield phi(t), shape (batch, s), for each tree in enumerate_trees order.
+
+    `a` has shape (batch, s, s): float64 for the search residual, or object
+    dtype holding Fractions (batch 1) for exact verification. The
+    elementary weight of tree t is b . phi(t). Each tree is evaluated only
+    when the generator reaches it, so a caller that stops early pays only
+    for the trees it has seen.
+    """
+    a_phi = {}
+    for node, (kids, used) in enumerate(_program(max_order)):
+        if kids:
+            acc = a_phi[kids[0]]
+            for kid in kids[1:]:
+                acc = acc * a_phi[kid]
+        else:
+            acc = np.ones(a.shape[:2], dtype=a.dtype)
+        if used:
+            a_phi[node] = np.einsum("bij,bj->bi", a, acc)
+        yield acc
+
+
+def _exact_weights(tab: Tableau, max_order: int):
+    """Yield (tree, exact elementary weight) for every tree of order <= max_order."""
+    a = np.array(tab.a, dtype=object)[None]
+    for t, phi in zip(enumerate_trees(max_order), _stage_weights(a, max_order)):
+        yield t, sum((bi * pi for bi, pi in zip(tab.b, phi[0])), Fraction(0))
 
 
 def elementary_weight(tab: Tableau, t: RootedTree) -> Fraction:
     """Exact elementary weight of tree t under the given tableau."""
-    phi = _stage_weights(tab, t, {})
-    return sum((bi * pi for bi, pi in zip(tab.b, phi)), Fraction(0))
+    return dict(_exact_weights(tab, t.order))[t]
 
 
 @dataclass(frozen=True)
@@ -162,24 +189,16 @@ def order_residuals(tab: Tableau, p: int) -> list[OrderCondition]:
     """Exact residuals for every tree of order <= p."""
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    cache = {}
     out = []
-    for t in enumerate_trees(p):
+    for t, weight in _exact_weights(tab, p):
         gamma = density(t)
-        phi = _stage_weights(tab, t, cache)
-        weight = sum((bi * pi for bi, pi in zip(tab.b, phi)), Fraction(0))
         out.append(OrderCondition(t, gamma, weight - 1 / gamma))
     return out
 
 
 def verified_order(tab: Tableau) -> int:
     """Largest p <= 8 with every order-<=p residual exactly zero."""
-    cache = {}
-    for p in range(1, VERIFIED_ORDER_CAP + 1):
-        for t in _trees_of_order(p):
-            gamma = density(t)
-            phi = _stage_weights(tab, t, cache)
-            weight = sum((bi * pi for bi, pi in zip(tab.b, phi)), Fraction(0))
-            if weight != 1 / gamma:
-                return p - 1
+    for t, weight in _exact_weights(tab, VERIFIED_ORDER_CAP):
+        if weight != 1 / density(t):
+            return t.order - 1
     return VERIFIED_ORDER_CAP

@@ -8,10 +8,9 @@ x <- x - gamma * pinv(J) F with a finite-difference Jacobian and an
 SVD pseudoinverse. Converged floating roots are only trusted after
 rationalization reproduces the order conditions exactly.
 
-The residual evaluates the rooted trees as one program over their
-distinct subtrees: each stage vector a.phi is formed once per distinct
-child subtree and shared by every parent that holds it, and all
-elementary weights come from a single contraction with b.
+The residual evaluates the rooted trees with the subtree program of
+slrk.order_conditions, the one exact verification uses, and forms all
+elementary weights with a single contraction with b.
 
 Roots of this system form manifolds, so the Jacobian carries genuinely
 tiny singular values away from noise level; a plain truncated
@@ -32,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .order_conditions import density, enumerate_trees, order_residuals
+from .order_conditions import _stage_weights, density, enumerate_trees, order_residuals
 from .tableau import Tableau
 
 DIVERGENCE_NORM = 1e6
@@ -120,20 +119,6 @@ class FloatTableau(NamedTuple):
     a: np.ndarray
     b: np.ndarray
 
-    @property
-    def c(self) -> np.ndarray:
-        return self.a.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """Current iterate: packed coefficients, residual norm, regularization."""
-
-    x: np.ndarray
-    residual_norm: float
-    iters: int
-    reg_lambda: float = LAMBDA_INIT
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -144,22 +129,11 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _tree_program(target_order: int):
-    """Order conditions as a program over distinct subtrees, plus 1/density.
-
-    enumerate_trees orders trees by node count, so every subtree of a tree
-    is itself an earlier tree: node k is order condition k and its children
-    come before it. Step k holds node k's children and whether any parent
-    holds node k as a child; only then is a.phi_k needed, and it is formed
-    once and shared by all those parents.
-    """
-    trees = enumerate_trees(target_order)
-    index = {t: k for k, t in enumerate(trees)}
-    children = [tuple(index[c] for c in t.children) for t in trees]
-    used = {kid for kids in children for kid in kids}
-    program = tuple((kids, k in used) for k, kids in enumerate(children))
-    inv_gamma = np.array([1.0 / float(density(t)) for t in trees])
-    return program, inv_gamma
+def _inv_density(target_order: int) -> np.ndarray:
+    """1/density of every tree of order <= target_order, as floats."""
+    inv_gamma = np.array([1.0 / float(density(t)) for t in enumerate_trees(target_order)])
+    inv_gamma.flags.writeable = False
+    return inv_gamma
 
 
 @lru_cache(maxsize=None)
@@ -196,21 +170,9 @@ def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     rows, cols = _strict_lower(s)
     a[:, rows, cols] = xs[:, s:]
 
-    program, inv_gamma = _tree_program(cfg.target_order)
-    phi: list[np.ndarray] = []
-    a_phi: dict[int, np.ndarray] = {}
-    for node, (kids, used) in enumerate(program):
-        if kids:
-            acc = a_phi[kids[0]]
-            for kid in kids[1:]:
-                acc = acc * a_phi[kid]
-        else:
-            acc = np.ones((nbatch, s))
-        phi.append(acc)
-        if used:
-            a_phi[node] = np.einsum("bij,bj->bi", a, acc)
+    phi = list(_stage_weights(a, cfg.target_order))
     phi_all = np.concatenate(phi, axis=1).reshape(nbatch, len(phi), s)
-    f_trees = np.einsum("bi,bni->bn", b, phi_all) - inv_gamma
+    f_trees = np.einsum("bi,bni->bn", b, phi_all) - _inv_density(cfg.target_order)
     f_absc = a.sum(axis=2)[:, 1:] - cfg._c_targets
     return np.concatenate([f_trees, f_absc], axis=1)
 
@@ -245,28 +207,6 @@ def _filtered_step(svd, f: np.ndarray, reg_lambda: float) -> np.ndarray:
     lam = reg_lambda * sigma[0]
     gains = sigma[keep] / (sigma[keep] ** 2 + lam ** 2)
     return vt[keep].T @ (gains * (u[:, keep].T @ f))
-
-
-def newton_step(state: SearchState, cfg: SearchConfig) -> SearchState:
-    """One damped regularized-pseudoinverse Newton update.
-
-    Damping switches to 1 once the residual is below 1e-3 (local
-    quadratic phase). The regularization of the returned state shrinks
-    when the residual improved and grows otherwise. SVD failures
-    propagate as LinAlgError; search() reports them as a stalled run.
-    """
-    f = residual_vector(state.x, cfg)
-    j = jacobian(state.x, cfg)
-    gamma = 1.0 if np.linalg.norm(f, np.inf) < QUADRATIC_PHASE_NORM else cfg.damping
-    delta = _filtered_step(np.linalg.svd(j, full_matrices=False), f, state.reg_lambda)
-    x_new = state.x - gamma * delta
-    norm = float(np.linalg.norm(residual_vector(x_new, cfg), np.inf))
-    if norm < state.residual_norm:
-        lam = max(state.reg_lambda / LAMBDA_SHRINK, LAMBDA_MIN)
-    else:
-        lam = min(state.reg_lambda * LAMBDA_GROW, LAMBDA_MAX)
-    return SearchState(x=x_new, residual_norm=norm, iters=state.iters + 1,
-                       reg_lambda=lam)
 
 
 def search(cfg: SearchConfig) -> SearchResult:

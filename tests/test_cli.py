@@ -168,3 +168,38 @@ def test_ns_run_snapshot_round_trip(tmp_path):
     assert t == pytest.approx(0.1)
     assert np.isfinite(field).all()
     assert abs(field).max() > 1.0  # the initial waves are O(1..10)
+
+
+def test_ns_run_snapshots_match_integrate(tmp_path):
+    from slrk import navier_stokes as ns
+    from slrk.integrator import integrate, make_plan
+
+    out = tmp_path / "w.bin"
+    code = main(["ns-run", "--n", "16", "--t", "0.08", "--steps", "8", "--every", "2",
+                 "--tableau", "rk4", "--out", str(out)])
+    assert code == 0
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"w.bin", "w_step2.bin", "w_step4.bin", "w_step6.bin", "w_manifest.json"}
+    grid = ns.make_grid(16)
+    plan = make_plan(ns.make_problem(grid, 1e-2), rk4_tableau(), 0.08 / 8)
+    w0 = ns.initial_condition(grid)
+    for k, path in [(2, "w_step2.bin"), (4, "w_step4.bin"), (6, "w_step6.bin"), (8, "w.bin")]:
+        field, t = read_snapshot(tmp_path / path)
+        assert np.array_equal(field, ns.vorticity_field(integrate(plan, w0, k)))
+        assert t == (0.08 if k == 8 else k * (0.08 / 8))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["--steps", "0"], "--steps must be >= 1"),
+    (["--steps", "-3"], "--steps must be >= 1"),
+    (["--every", "-1"], "--every must be >= 0"),
+])
+def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message):
+    out = tmp_path / "sub" / "w.bin"
+    code = main(["ns-run", "--n", "16", "--t", "0.1", "--tableau", "rk4",
+                 "--out", str(out)] + bad)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())

@@ -12,7 +12,6 @@ from slrk.integrator import (
     integrate,
     lawson_step_general,
     make_plan,
-    rk_step,
     slrk_step,
 )
 from slrk.linop import diagonal_operator, zero_operator
@@ -44,13 +43,13 @@ def polyval(coeffs, z):
 def test_rk_step_zero_rhs_is_identity():
     plan = make_plan(OdeProblem(g=lambda u: 0 * u, A=None), rk4_tableau(), 0.2)
     u = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(rk_step(plan, u), u)
+    assert np.array_equal(slrk_step(plan, u), u)
 
 
 @pytest.mark.parametrize("z", [0.3, -1.0, 0.4 + 0.9j, -2.0 + 0.5j])
 def test_rk4_scalar_amplification(z):
     plan = make_plan(scalar_problem(z), rk4_tableau(), 1.0)
-    got = rk_step(plan, np.ones(1, dtype=complex))[0]
+    got = slrk_step(plan, np.ones(1, dtype=complex))[0]
     want = polyval(RK4_POLY, z)
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
@@ -58,19 +57,12 @@ def test_rk4_scalar_amplification(z):
 @pytest.mark.parametrize("z", [0.5, -1.5, 1.1 - 0.7j, -0.8 + 1.2j])
 def test_rk6_scalar_amplification_includes_z7_term(z):
     plan = make_plan(scalar_problem(z), rk6_tableau(), 1.0)
-    got = rk_step(plan, np.ones(1, dtype=complex))[0]
+    got = slrk_step(plan, np.ones(1, dtype=complex))[0]
     want = polyval(RK6_POLY, z)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
     # the step really carries the degree-7 tail, not the exponential
     degree6 = polyval(RK6_POLY[:7], z)
     assert abs(got - degree6) > 0 or z == 0
-
-
-def test_rk_step_rejects_plans_with_operator():
-    plan = make_plan(scalar_problem(1.0, A=diagonal_operator(np.array([-1.0]))),
-                     rk4_tableau(), 0.1)
-    with pytest.raises(ValueError):
-        rk_step(plan, np.ones(1))
 
 
 def test_lawson_general_zero_rhs_is_exact_exponential():
@@ -90,7 +82,7 @@ def test_lawson_general_reduces_to_rk_with_zero_operator():
     g = lambda v: np.sin(v)
     got = lawson_step_general(rk4_tableau(), g, zero_operator(5), u, 0.3)
     plan = make_plan(OdeProblem(g=g, A=None), rk4_tableau(), 0.3)
-    want = rk_step(plan, u)
+    want = slrk_step(plan, u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -125,7 +117,7 @@ def test_slrk_with_zero_operator_matches_rk_step():
     plan0 = make_plan(OdeProblem(g=g, A=zero_operator(7)), rk6_tableau(), 0.2)
     plan = make_plan(OdeProblem(g=g, A=None), rk6_tableau(), 0.2)
     got = slrk_step(plan0, u.astype(complex))
-    want = rk_step(plan, u)
+    want = slrk_step(plan, u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -193,7 +185,7 @@ def test_two_rate_scalar_amplification():
 def test_purely_imaginary_stiff_rate_preserves_magnitude():
     z1 = -1.2 + 0.4j
     plan_ref = make_plan(scalar_problem(z1), rk6_tableau(), 1.0)
-    mag_ref = abs(rk_step(plan_ref, np.ones(1, dtype=complex))[0])
+    mag_ref = abs(slrk_step(plan_ref, np.ones(1, dtype=complex))[0])
     for y in (0.5, 3.0, 17.0):
         prob = scalar_problem(z1, A=diagonal_operator(np.array([1j * y])))
         got = slrk_step(make_plan(prob, rk6_tableau(), 1.0), np.ones(1, dtype=complex))
@@ -210,7 +202,7 @@ def test_nonconforming_tableau_with_operator_rejected():
         make_plan(OdeProblem(g=lambda v: v, A=A), t, 0.1)
     # without the operator the same tableau steps fine
     plan = make_plan(OdeProblem(g=lambda v: v, A=None), t, 0.1)
-    rk_step(plan, np.ones(1))
+    slrk_step(plan, np.ones(1))
 
 
 def test_degenerate_spacing_with_operator_rejected():

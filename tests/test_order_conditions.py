@@ -7,6 +7,7 @@ import pytest
 
 from slrk.order_conditions import (
     LEAF,
+    VERIFIED_ORDER_CAP,
     RootedTree,
     density,
     elementary_weight,
@@ -15,7 +16,7 @@ from slrk.order_conditions import (
     tree_from_level_sequence,
     verified_order,
 )
-from slrk.tableau import euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
+from slrk.tableau import Tableau, euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
 
 PATH2 = RootedTree((LEAF,))
 PATH3 = RootedTree((PATH2,))
@@ -44,6 +45,44 @@ def subtree_size_product(t):
     for child in t.children:
         prod *= subtree_size_product(child)
     return prod
+
+
+def reference_weight(tab, t):
+    """Independent weight oracle: recursive per-tree Fraction evaluation.
+
+    phi_i(t) = prod over children c of sum_j a_ij phi_j(c); weight = b . phi.
+    """
+    def phi(tree):
+        out = [Fraction(1)] * tab.s
+        for child in tree.children:
+            child_phi = phi(child)
+            for i in range(tab.s):
+                out[i] *= sum((tab.a[i][j] * child_phi[j] for j in range(i)), Fraction(0))
+        return out
+
+    return sum((bi * pi for bi, pi in zip(tab.b, phi(t))), Fraction(0))
+
+
+def perturbed(tab, name, da=(), db=()):
+    """tab with exact rational offsets added to entries of a and b."""
+    a = [list(row) for row in tab.a]
+    b = list(tab.b)
+    for (i, j), d in da:
+        a[i][j] += d
+    for i, d in db:
+        b[i] += d
+    return Tableau(tuple(tuple(row) for row in a), tuple(b), name)
+
+
+# rk6 off its root: a row-sum change (order 1), a b shift between the two
+# stages at c = 1/6 (order 2), a row-sum-preserving shift in a (order 3).
+PERTURBED_RK6 = [
+    (perturbed(rk6_tableau(), "rk6-row-sum", da=[((3, 1), Fraction(1, 7))]), 1),
+    (perturbed(rk6_tableau(), "rk6-b-shift",
+               db=[(1, Fraction(1, 7)), (2, -Fraction(1, 7))]), 2),
+    (perturbed(rk6_tableau(), "rk6-a-shift",
+               da=[((3, 1), Fraction(1, 7)), ((3, 2), -Fraction(1, 7))]), 3),
+]
 
 
 def test_counts_per_order():
@@ -150,3 +189,31 @@ def test_verified_order():
     assert verified_order(rk4_tableau()) == 4
     assert verified_order(heun3_tableau()) == 3
     assert verified_order(euler_tableau()) == 1
+
+
+@pytest.mark.parametrize("tab", [make() for make in
+                                 (euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau)]
+                         + [tab for tab, _ in PERTURBED_RK6], ids=lambda tab: tab.name)
+def test_exact_residuals_match_recursive_oracle(tab):
+    # Every order 1..8 builds its own subtree program; all must give the
+    # oracle's Fractions exactly, zero or not.
+    oracle = {t: reference_weight(tab, t) - 1 / density(t) for t in enumerate_trees(8)}
+    assert any(r != 0 for r in oracle.values())
+    for p in range(1, 9):
+        conditions = order_residuals(tab, p)
+        assert [c.tree for c in conditions] == enumerate_trees(p)
+        for c in conditions:
+            assert type(c.residual) is Fraction
+            assert c.residual == oracle[c.tree]
+    for t in enumerate_trees(5):
+        assert elementary_weight(tab, t) == reference_weight(tab, t)
+
+
+@pytest.mark.parametrize("tab,order", PERTURBED_RK6, ids=lambda v: getattr(v, "name", v))
+def test_verified_order_drops_on_perturbed_tableaux(tab, order):
+    assert verified_order(tab) == order
+    # the largest p whose oracle residuals all vanish
+    oracle = max([0] + [p for p in range(1, VERIFIED_ORDER_CAP + 1)
+                        if all(reference_weight(tab, t) == 1 / density(t)
+                               for t in enumerate_trees(p))])
+    assert oracle == order
