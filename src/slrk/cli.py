@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,6 +39,13 @@ from .tableau import (
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
+
+
+class _UsageError(Exception):
+    """Bad input on the command line, reported as one line on stderr (exit 1).
+
+    Every subcommand raises it before it writes any file.
+    """
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,20 +91,34 @@ def load_tableau(name_or_path: str) -> Tableau:
     )
 
 
-def _parse_complex(text: str) -> complex:
-    re_im = text.split(",")
-    if len(re_im) == 1:
-        return complex(float(re_im[0]), 0.0)
-    if len(re_im) == 2:
-        return complex(float(re_im[0]), float(re_im[1]))
-    raise ValueError(f"expected RE or RE,IM, got {text!r}")
+def _tableau(name_or_path: str) -> Tableau:
+    try:
+        return load_tableau(name_or_path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"--tableau: {exc}") from None
+
+
+def _parse_complex(flag: str, text: str) -> complex:
+    try:
+        re_im = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        re_im = []
+    if len(re_im) not in (1, 2):
+        raise _UsageError(f"{flag} expects RE or RE,IM, got {text!r}")
+    return complex(*re_im)
+
+
+def _make_plan(problem: OdeProblem, tab: Tableau, h: float):
+    try:
+        return make_plan(problem, tab, h)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_verify(args) -> int:
     if not 1 <= args.order <= 10:
-        print("verify: --order must be between 1 and 10", file=sys.stderr)
-        return USAGE_ERROR
-    tab = load_tableau(args.tableau)
+        raise _UsageError("--order must be between 1 and 10")
+    tab = _tableau(args.tableau)
     conditions = order_residuals(tab, args.order)
     satisfied = 0
     for cond in conditions:
@@ -131,8 +153,7 @@ def cmd_search(args) -> int:
             residual_tol=args.tol,
         )
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(str(exc)) from None
     t0 = time.perf_counter()
     results = multi_start_search(cfg, args.seeds)
     out_stem = Path(args.out)
@@ -197,16 +218,18 @@ def cmd_search(args) -> int:
 
 def cmd_stability(args) -> int:
     t0 = time.perf_counter()
-    z2 = _parse_complex(args.z2)
+    z2 = _parse_complex("--z2", args.z2)
+    if args.samples < 16:
+        raise _UsageError(f"--samples must be >= 16, got {args.samples}")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     curves = [(args.tableau, out)]
     if args.compare_rk4_rk6:
         curves = [("rk4", out.with_name(f"{out.stem}_rk4{out.suffix}")),
                   ("rk6", out.with_name(f"{out.stem}_rk6{out.suffix}"))]
+    curves = [(_tableau(tab_name), path) for tab_name, path in curves]
+    out.parent.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for tab_name, path in curves:
-        tab = load_tableau(tab_name)
+    for tab, path in curves:
         phi = stability_polynomial(tab)
         boundary = region_boundary(phi, z2, args.samples)
         lines = ["re(z),im(z)"]
@@ -229,10 +252,10 @@ def cmd_stability(args) -> int:
 
 def cmd_integrate(args) -> int:
     t0 = time.perf_counter()
-    tab = load_tableau(args.tableau)
+    tab = _tableau(args.tableau)
     if args.problem == "scalar":
-        lam1 = _parse_complex(args.lam1)
-        lam2 = _parse_complex(args.lam2)
+        lam1 = _parse_complex("--lam1", args.lam1)
+        lam2 = _parse_complex("--lam2", args.lam2)
         problem = OdeProblem(g=lambda u: lam1 * u,
                              A=diagonal_operator(np.array([lam2])))
         u0 = np.ones(1, dtype=complex)
@@ -240,7 +263,7 @@ def cmd_integrate(args) -> int:
         grid = navier_stokes.make_grid(args.n)
         problem = navier_stokes.make_problem(grid, args.nu)
         u0 = navier_stokes.initial_condition(grid)
-    plan = make_plan(problem, tab, args.h)
+    plan = _make_plan(problem, tab, args.h)
     final = integrate(plan, u0, args.steps)
     if args.problem == "ns":
         field_phys = navier_stokes.vorticity_field(final)
@@ -325,17 +348,17 @@ def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
 
 def cmd_ns_run(args) -> int:
     if args.steps < 1:
-        print(f"ns-run: --steps must be >= 1, got {args.steps}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.every < 0:
-        print(f"ns-run: --every must be >= 0, got {args.every}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"--every must be >= 0, got {args.every}")
+    if not (math.isfinite(args.t) and args.t > 0):
+        raise _UsageError(f"--t must be finite and positive, got {args.t}")
     t0 = time.perf_counter()
-    tab = load_tableau(args.tableau)
+    tab = _tableau(args.tableau)
     grid = navier_stokes.make_grid(args.n)
     problem = navier_stokes.make_problem(grid, args.nu)
     h = args.t / args.steps
-    plan = make_plan(problem, tab, h)
+    plan = _make_plan(problem, tab, h)
     w_hat = navier_stokes.initial_condition(grid)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -455,7 +478,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_merge_complex_values(list(argv)))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"{args.subcommand}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entry():

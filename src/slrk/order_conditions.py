@@ -6,12 +6,16 @@ with at most p nodes equals 1/density(t); order 6 involves 37 trees.
 The stage weights of all trees come from one program over their distinct
 subtrees, which forms each stage vector a.phi once per distinct child
 subtree. The same program runs on float arrays for the search residual
-(slrk.search) and on object arrays of Fractions for the exact
-verification here.
+(slrk.search) and, for the exact verification here, on object arrays of
+Python ints: a is scaled by the lcm d of its denominators, so phi(t)
+comes out scaled by d^(order(t)-1) and each weight is one Fraction
+formed at the end, with no Fraction arithmetic inside the program.
+Tree densities are likewise built once per program (`_densities`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -164,16 +168,30 @@ def _stage_weights(a: np.ndarray, max_order: int):
         yield acc
 
 
+@lru_cache(maxsize=None)
+def _densities(max_order: int) -> tuple[int, ...]:
+    """density(t) of every tree of order <= max_order, in enumerate_trees order."""
+    gammas = []
+    for t, (kids, _) in zip(enumerate_trees(max_order), _program(max_order)):
+        gammas.append(t.order * math.prod(gammas[kid] for kid in kids))
+    return tuple(gammas)
+
+
 def _exact_weights(tab: Tableau, max_order: int):
-    """Yield (tree, exact elementary weight) for every tree of order <= max_order."""
-    a = np.array(tab.a, dtype=object)[None]
-    for t, phi in zip(enumerate_trees(max_order), _stage_weights(a, max_order)):
-        yield t, sum((bi * pi for bi, pi in zip(tab.b, phi[0])), Fraction(0))
+    """Yield (tree, numerator, denominator) of each exact elementary weight.
+
+    The program runs on d*a in Python ints, so b . phi(t) is the weight
+    times d_b * d^(order(t)-1); numerator and denominator are not reduced.
+    """
+    a, d, b, d_b = tab.as_integers()
+    for t, phi in zip(enumerate_trees(max_order), _stage_weights(a[None], max_order)):
+        yield t, b.dot(phi[0]), d_b * d ** (t.order - 1)
 
 
 def elementary_weight(tab: Tableau, t: RootedTree) -> Fraction:
     """Exact elementary weight of tree t under the given tableau."""
-    return dict(_exact_weights(tab, t.order))[t]
+    weights = {tree: (num, den) for tree, num, den in _exact_weights(tab, t.order)}
+    return Fraction(*weights[t])
 
 
 @dataclass(frozen=True)
@@ -189,16 +207,14 @@ def order_residuals(tab: Tableau, p: int) -> list[OrderCondition]:
     """Exact residuals for every tree of order <= p."""
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
-    out = []
-    for t, weight in _exact_weights(tab, p):
-        gamma = density(t)
-        out.append(OrderCondition(t, gamma, weight - 1 / gamma))
-    return out
+    return [OrderCondition(t, Fraction(gamma), Fraction(num * gamma - den, den * gamma))
+            for (t, num, den), gamma in zip(_exact_weights(tab, p), _densities(p))]
 
 
 def verified_order(tab: Tableau) -> int:
     """Largest p <= 8 with every order-<=p residual exactly zero."""
-    for t, weight in _exact_weights(tab, VERIFIED_ORDER_CAP):
-        if weight != 1 / density(t):
+    weights = zip(_exact_weights(tab, VERIFIED_ORDER_CAP), _densities(VERIFIED_ORDER_CAP))
+    for (t, num, den), gamma in weights:
+        if num * gamma != den:
             return t.order - 1
     return VERIFIED_ORDER_CAP

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .order_conditions import _stage_weights, density, enumerate_trees, order_residuals
+from .order_conditions import _densities, _stage_weights, enumerate_trees, order_residuals
 from .tableau import Tableau
 
 DIVERGENCE_NORM = 1e6
@@ -131,7 +131,7 @@ class SearchResult:
 @lru_cache(maxsize=None)
 def _inv_density(target_order: int) -> np.ndarray:
     """1/density of every tree of order <= target_order, as floats."""
-    inv_gamma = np.array([1.0 / float(density(t)) for t in enumerate_trees(target_order)])
+    inv_gamma = np.array([1.0 / gamma for gamma in _densities(target_order)])
     inv_gamma.flags.writeable = False
     return inv_gamma
 

@@ -4,6 +4,12 @@ One step on du/dt = lambda*u multiplies u by the stability polynomial
 Phi(z), z = h*lambda. Splitting a second rate lambda_2 into the exact
 propagator multiplies that by exp(z_2), so the Lawson amplification is
 exp(z_2)*Phi(z_1) and a purely imaginary z_2 cannot change stability.
+
+The coefficients of Phi come from the tableau scaled to Python ints
+(Tableau.as_integers), one Fraction per coefficient. Region boundaries
+scan blocks of rays on one set of radii and then bisect all crossing
+rays in lockstep, evaluating Phi in separate real and imaginary float
+arithmetic so that every point has the bits of the scalar Phi(z).
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ class StabilityPolynomial:
     def eval_many(self, z: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for ck in reversed(self.coeffs):
-            acc = acc * z + float(ck)
+            acc *= z
+            acc += float(ck)
         return acc
 
 
@@ -44,14 +51,14 @@ def stability_polynomial(tab: Tableau) -> StabilityPolynomial:
     """Exact coefficients: coeffs[0] = 1 and coeffs[k] = b . A^(k-1) . 1.
 
     Trailing zero coefficients are dropped, so the degree can be below
-    the stage count.
+    the stage count. With a scaled by d, (d*a)^(k-1) . 1 carries d^(k-1).
     """
-    s = tab.s
+    a, d, b, d_b = tab.as_integers()
     coeffs = [Fraction(1)]
-    v = [Fraction(1)] * s
-    for _ in range(s):
-        coeffs.append(sum((bi * vi for bi, vi in zip(tab.b, v)), Fraction(0)))
-        v = [sum((tab.a[i][j] * v[j] for j in range(i)), Fraction(0)) for i in range(s)]
+    v = np.ones(tab.s, dtype=object)
+    for k in range(1, tab.s + 1):
+        coeffs.append(Fraction(b.dot(v), d_b * d ** (k - 1)))
+        v = a.dot(v)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return StabilityPolynomial(tuple(coeffs))
@@ -86,6 +93,41 @@ def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -
     return np.exp(z2.real) * np.abs(phi.eval_many(z))
 
 
+_N_SCAN = 512  # scan intervals per ray
+_RAY_BLOCK = 16  # rays scanned together: a 16 x 513 grid, not the whole fan
+
+
+def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.ndarray,
+                 dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Bisect |exp(z2)*Phi(r*(dx + i*dy))| = 1 on [lo, hi] for all rays at once.
+
+    Phi is evaluated as (re, im) float pairs, the arithmetic of the scalar
+    complex Horner loop in StabilityPolynomial.__call__; numpy's complex
+    multiply may fuse operations and round differently. A ray stops when
+    |m - 1| <= 1e-10 (taking lo = mid) or after 200 halvings.
+    """
+    scale = np.exp(z2.real)
+    coeffs = [float(ck) for ck in reversed(phi.coeffs)]
+    lo, hi = lo.copy(), hi.copy()
+    active = np.arange(lo.size)
+    for _ in range(200):
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        x, y = mid * dx[active], mid * dy[active]
+        re = np.zeros_like(mid)
+        im = np.zeros_like(mid)
+        for c in coeffs:
+            re, im = re * x - im * y + c, re * y + im * x
+        m = scale * np.hypot(re, im)
+        done = np.abs(m - 1.0) <= 1e-10
+        take_lo = done | (m <= 1.0)
+        lo[active[take_lo]] = mid[take_lo]
+        hi[active[~take_lo]] = mid[~take_lo]
+        active = active[~done]
+    return lo
+
+
 def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                     angular_samples: int = 256) -> RegionBoundary:
     """Outermost |exp(z2)*Phi(z)| = 1 crossing along rays from the origin.
@@ -97,36 +139,24 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     if angular_samples < 16:
         raise ValueError(f"angular_samples must be >= 16, got {angular_samples}")
     z2 = complex(z2)
-    rmax = _radius_bound(phi, z2)
-    n_scan = 512
-    points = []
-    skipped = []
-    for theta in 2.0 * np.pi * np.arange(angular_samples) / angular_samples:
-        direction = cmath.exp(1j * theta)
-        radii = np.linspace(rmax, 0.0, n_scan + 1)
-        mags = _effective_magnitude(phi, z2, radii * direction)
-        inside = mags <= 1.0
-        if not inside.any():
-            skipped.append(float(theta))
-            continue
-        first_in = int(np.argmax(inside))
-        if first_in == 0:
-            # Entire ray is stable out to the bound: no crossing to bracket.
-            skipped.append(float(theta))
-            continue
-        lo, hi = radii[first_in], radii[first_in - 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            m = np.exp(z2.real) * abs(phi(mid * direction))
-            if abs(m - 1.0) <= 1e-10:
-                lo = mid
-                break
-            if m <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        points.append(lo * direction)
-    return RegionBoundary(points=np.array(points), z2=z2, skipped_angles=tuple(skipped))
+    thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+    # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
+    directions = np.array([cmath.exp(1j * theta) for theta in thetas])
+    radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
+    first_in = np.empty(angular_samples, dtype=np.intp)
+    for start in range(0, angular_samples, _RAY_BLOCK):
+        block = directions[start:start + _RAY_BLOCK, None]
+        inside = _effective_magnitude(phi, z2, radii * block) <= 1.0
+        first_in[start:start + _RAY_BLOCK] = inside.argmax(axis=1)
+    # argmax is 0 both when a ray has no stable point and when it is stable
+    # out to the bound: neither has a crossing to bracket.
+    crossing = first_in > 0
+    rows = first_in[crossing]
+    ray = directions[crossing]
+    lo = _bisect_rays(phi, z2, radii[rows], radii[rows - 1], ray.real, ray.imag)
+    # lo is real, so lo * ray rounds as the scalar lo * direction does.
+    return RegionBoundary(points=lo * ray, z2=z2,
+                          skipped_angles=tuple(float(t) for t in thetas[~crossing]))
 
 
 def real_axis_boundary(phi: StabilityPolynomial, z2: float = 0.0) -> float:

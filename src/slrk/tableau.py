@@ -7,6 +7,7 @@ comparisons. The abscissae c are always derived from row sums of a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,6 +82,19 @@ class Tableau:
         b = np.array([float(x) for x in self.b])
         c = np.array([float(x) for x in self.c])
         return a, b, c
+
+    def as_integers(self) -> tuple[np.ndarray, int, np.ndarray, int]:
+        """Exact integer rendering (d*a, d, d_b*b, d_b).
+
+        d and d_b are the lcm of the denominators of a and of b; the two
+        arrays hold Python ints (object dtype), so products never overflow.
+        """
+        d = math.lcm(*(x.denominator for row in self.a for x in row))
+        d_b = math.lcm(*(x.denominator for x in self.b))
+        a = np.array([[x.numerator * (d // x.denominator) for x in row] for row in self.a],
+                     dtype=object)
+        b = np.array([x.numerator * (d_b // x.denominator) for x in self.b], dtype=object)
+        return a, d, b, d_b
 
 
 def _tableau_from_rows(rows, b, name):

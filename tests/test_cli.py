@@ -203,3 +203,41 @@ def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message
     assert message in err
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+def assert_usage_error(tmp_path, capsys, code, message):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["--samples", "8"], "--samples must be >= 16"),
+    (["--z2", "abc"], "--z2 expects RE or RE,IM"),
+])
+def test_stability_rejects_bad_input_as_usage_error(tmp_path, capsys, bad, message):
+    out = tmp_path / "sub" / "boundary.csv"
+    code = main(["stability", "--tableau", "rk4", "--out", str(out)] + bad)
+    assert_usage_error(tmp_path, capsys, code, message)
+
+
+@pytest.mark.parametrize("t", ["0", "-0.5", "nan", "inf"])
+def test_ns_run_rejects_bad_end_time_as_usage_error(tmp_path, capsys, t):
+    out = tmp_path / "sub" / "w.bin"
+    code = main(["ns-run", "--n", "16", "--steps", "4", "--t", t, "--tableau", "rk4",
+                 "--out", str(out)])
+    assert_usage_error(tmp_path, capsys, code, "--t must be finite and positive")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--order", "4"],
+    ["stability"],
+    ["integrate", "--h", "0.1", "--steps", "2"],
+    ["ns-run", "--n", "16", "--steps", "2"],
+], ids=lambda args: args[0])
+def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # default output files would land here
+    code = main(args + ["--tableau", "nosuch"])
+    assert_usage_error(tmp_path, capsys, code, "no tableau file 'nosuch'")

@@ -205,8 +205,12 @@ def test_exact_residuals_match_recursive_oracle(tab):
         for c in conditions:
             assert type(c.residual) is Fraction
             assert c.residual == oracle[c.tree]
+            assert type(c.density) is Fraction
+            assert c.density == subtree_size_product(c.tree)
     for t in enumerate_trees(5):
-        assert elementary_weight(tab, t) == reference_weight(tab, t)
+        weight = elementary_weight(tab, t)
+        assert type(weight) is Fraction
+        assert weight == reference_weight(tab, t)
 
 
 @pytest.mark.parametrize("tab,order", PERTURBED_RK6, ids=lambda v: getattr(v, "name", v))

@@ -1,6 +1,7 @@
 """Stability polynomials, region boundaries, two-timescale amplification."""
 
 import cmath
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -9,12 +10,18 @@ import pytest
 
 from slrk.order_conditions import verified_order
 from slrk.stability import (
+    _radius_bound,
     real_axis_boundary,
     region_boundary,
     slrk_amplification,
     stability_polynomial,
 )
-from slrk.tableau import euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
+from slrk.tableau import Tableau, euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
+
+BUILTINS = [euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau]
+# A z2 at which numpy's complex multiply, unlike the scalar Phi, once
+# accepted a bisection point with |e^z2 Phi| - 1 just above 1e-10.
+RK6_ROUNDING_Z2 = complex(-14.056683947183316, 3.071969748864842)
 
 
 def bisect_oracle(f, lo, hi, tol=1e-10):
@@ -28,6 +35,99 @@ def bisect_oracle(f, lo, hi, tol=1e-10):
         else:
             hi = mid
     return lo
+
+
+def reference_region_boundary(phi, z2, angular_samples):
+    """Per-ray oracle: scan each ray alone, then bisect it with the scalar Phi."""
+    z2 = complex(z2)
+    rmax = _radius_bound(phi, z2)
+    points, skipped = [], []
+    for theta in 2.0 * np.pi * np.arange(angular_samples) / angular_samples:
+        direction = cmath.exp(1j * theta)
+        radii = np.linspace(rmax, 0.0, 513)
+        z = radii * direction
+        acc = np.zeros_like(z)
+        for ck in reversed(phi.coeffs):
+            acc = acc * z + float(ck)
+        inside = np.exp(z2.real) * np.abs(acc) <= 1.0
+        first_in = int(np.argmax(inside))
+        if not inside.any() or first_in == 0:
+            skipped.append(float(theta))
+            continue
+        lo, hi = radii[first_in], radii[first_in - 1]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            m = np.exp(z2.real) * abs(phi(mid * direction))
+            if abs(m - 1.0) <= 1e-10:
+                lo = mid
+                break
+            if m <= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        points.append(lo * direction)
+    return np.array(points, dtype=complex), tuple(skipped)
+
+
+def reference_coefficients(tab):
+    """Fraction oracle: coeffs[k] = b . A^(k-1) . 1, trailing zeros dropped."""
+    coeffs = [Fraction(1)]
+    v = [Fraction(1)] * tab.s
+    for _ in range(tab.s):
+        coeffs.append(sum((bi * vi for bi, vi in zip(tab.b, v)), Fraction(0)))
+        v = [sum((tab.a[i][j] * v[j] for j in range(i)), Fraction(0)) for i in range(tab.s)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def perturbed_rk6():
+    """rk6 with rational offsets in a and b, so every coefficient moves."""
+    tab = rk6_tableau()
+    a = [list(row) for row in tab.a]
+    a[3][1] += Fraction(1, 7)
+    a[7][5] -= Fraction(2, 13)
+    b = list(tab.b)
+    b[1] += Fraction(3, 11)
+    b[7] -= Fraction(1, 17)
+    return Tableau(tuple(tuple(row) for row in a), tuple(b), "rk6-perturbed")
+
+
+@pytest.mark.parametrize("tab", [make() for make in BUILTINS] + [perturbed_rk6()],
+                         ids=lambda tab: tab.name)
+def test_stability_polynomial_matches_fraction_oracle(tab):
+    coeffs = stability_polynomial(tab).coeffs
+    assert all(type(ck) is Fraction for ck in coeffs)
+    assert coeffs == reference_coefficients(tab)
+
+
+@pytest.mark.parametrize("make", BUILTINS)
+def test_region_boundary_bitwise_matches_per_ray_oracle(make):
+    phi = stability_polynomial(make())
+    rng = np.random.default_rng(2024)
+    cases = [(z2, 256) for z2 in (0j, -10 + 0j, RK6_ROUNDING_Z2)]
+    # Ray counts that fill no block of 16 exactly as well as some that do.
+    cases += [(complex(rng.uniform(-20.0, 0.0), rng.uniform(0.0, 5.0)), samples)
+              for samples in (17, 40, 64, 100) * 25]
+    for z2, samples in cases:
+        got = region_boundary(phi, z2, samples)
+        points, skipped = reference_region_boundary(phi, z2, samples)
+        assert got.points.dtype == points.dtype and got.points.shape == points.shape
+        assert got.points.tobytes() == points.tobytes(), (z2, samples)
+        assert got.skipped_angles == skipped, (z2, samples)
+
+
+def test_region_boundary_scans_in_bounded_memory():
+    # The full 256 x 513 complex scan grid alone would be about 2.1 MB.
+    phi = stability_polynomial(rk6_tableau())
+    region_boundary(phi, -10.0, 256)
+    tracemalloc.start()
+    try:
+        region_boundary(phi, -10.0, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_rk4_polynomial_exact():

@@ -1,5 +1,6 @@
 """Exact-rational tableau machinery: builtins, spacing, text format."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,18 @@ def test_row_sum_consistency_and_c_range(make):
     for i in range(t.s):
         assert t.c[i] == sum(t.a[i])
         assert 0 <= t.c[i] <= 1
+
+
+@pytest.mark.parametrize("make", ALL_BUILTINS)
+def test_integer_rendering_is_exact(make):
+    t = make()
+    a, d, b, d_b = t.as_integers()
+    assert all(type(x) is int for x in list(a.flat) + list(b))
+    assert [[Fraction(x, d) for x in row] for row in a] == [list(row) for row in t.a]
+    assert [Fraction(x, d_b) for x in b] == list(t.b)
+    # d and d_b are the least common denominators: no factor cancels from all entries
+    assert math.gcd(d, *a.flat) == 1
+    assert math.gcd(d_b, *b) == 1
 
 
 def test_spacing_rk6():
