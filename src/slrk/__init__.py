@@ -11,7 +11,6 @@ a pseudo-spectral Navier-Stokes convergence benchmark.
 """
 
 from .tableau import (
-    Rational,
     SpacingReport,
     Tableau,
     TableauParseError,
@@ -26,7 +25,6 @@ from .tableau import (
 from .order_conditions import (
     OrderCondition,
     RootedTree,
-    density,
     elementary_weight,
     enumerate_trees,
     order_residuals,
@@ -40,7 +38,6 @@ from .linop import (
     diagonal_operator,
     expm,
     make_propagator,
-    zero_operator,
 )
 from .integrator import (
     NonFiniteStateError,
@@ -56,7 +53,6 @@ from .stability import (
     StabilityPolynomial,
     real_axis_boundary,
     region_boundary,
-    slrk_amplification,
     stability_polynomial,
 )
 from .search import (
@@ -72,4 +68,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

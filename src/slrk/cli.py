@@ -1,9 +1,9 @@
 """Command-line interface: verify, search, stability, integrate, ns-converge, ns-run.
 
 All numeric outputs are CSV or JSON. Runs that write files also write a
-run manifest (JSON) next to them; re-running an identical manifest
-reproduces the outputs bit for bit. Exit codes: 0 success, 1 usage
-error, 2 verification failure.
+run manifest (JSON) next to them, recording every flag as typed;
+re-running the flags of a manifest reproduces the outputs bit for bit.
+Exit codes: 0 success, 1 usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from . import __version__, navier_stokes
 from .integrator import OdeProblem, integrate, make_plan
 from .linop import diagonal_operator
 from .order_conditions import order_residuals, verified_order
-from .search import (
-    SearchConfig,
-    multi_start_search,
-    rationalize,
-    uniform_c_pattern,
-)
+from .search import SearchConfig, multi_start_search, rationalize
 from .stability import region_boundary, stability_polynomial
 from .tableau import (
     BUILTIN_TABLEAUX,
@@ -56,46 +51,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass
-class RunManifest:
-    """Record of one CLI run, written next to its output files."""
+class _Run:
+    """The files one subcommand writes, for main to record in the run manifest."""
 
-    subcommand: str
-    parameters: dict
-    seeds: list = field(default_factory=list)
-    version: str = __version__
     outputs: list = field(default_factory=list)
-    duration_s: float = 0.0
+    seeds: list = field(default_factory=list)
 
-    def write(self, path: Path):
-        payload = {
-            "subcommand": self.subcommand,
-            "parameters": self.parameters,
-            "seeds": self.seeds,
-            "version": self.version,
-            "outputs": [str(p) for p in self.outputs],
-            "duration_s": self.duration_s,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_tableau(name_or_path: str) -> Tableau:
-    """Load a tableau from a file path or a builtin name (rk4, rk6, ...)."""
-    path = Path(name_or_path)
-    if path.exists():
-        return parse_tableau(path.read_text())
-    if name_or_path in BUILTIN_TABLEAUX:
-        return BUILTIN_TABLEAUX[name_or_path]()
-    raise FileNotFoundError(
-        f"no tableau file {name_or_path!r} and no builtin of that name "
-        f"(builtins: {', '.join(sorted(BUILTIN_TABLEAUX))})"
-    )
+    def write(self, path: Path, data: str | bytes):
+        """Write one output file, creating its directory, and record its path."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+        self.outputs.append(str(path))
 
 
 def _tableau(name_or_path: str) -> Tableau:
+    """Load a tableau from a file path or a builtin name (rk4, rk6, ...)."""
+    path = Path(name_or_path)
     try:
-        return load_tableau(name_or_path)
+        if path.exists():
+            return parse_tableau(path.read_text())
     except (OSError, ValueError) as exc:
         raise _UsageError(f"--tableau: {exc}") from None
+    if name_or_path in BUILTIN_TABLEAUX:
+        return BUILTIN_TABLEAUX[name_or_path]()
+    raise _UsageError(f"--tableau: no tableau file {name_or_path!r} and no builtin of "
+                      f"that name (builtins: {', '.join(sorted(BUILTIN_TABLEAUX))})")
 
 
 def _parse_complex(flag: str, text: str) -> complex:
@@ -115,7 +95,7 @@ def _make_plan(problem: OdeProblem, tab: Tableau, h: float):
         raise _UsageError(str(exc)) from None
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, run: _Run) -> int:
     if not 1 <= args.order <= 10:
         raise _UsageError("--order must be between 1 and 10")
     tab = _tableau(args.tableau)
@@ -127,26 +107,21 @@ def cmd_verify(args) -> int:
         print(f"order {cond.tree.order} tree {list(cond.tree.level_sequence())} "
               f"density {cond.density}: residual {cond.residual}")
     total = len(conditions)
-    if satisfied == total:
-        print(f"{total}/{total} conditions satisfied exactly")
-    else:
-        print(f"{satisfied}/{total} conditions satisfied exactly")
+    print(f"{satisfied}/{total} conditions satisfied exactly")
     order = verified_order(tab)
     print(f"verified order: {order}")
     return 0 if satisfied == total else VERIFY_FAILURE
 
 
-def cmd_search(args) -> int:
+def cmd_search(args, run: _Run) -> int:
     try:
-        delta_c = Fraction(args.dc)
+        pattern = None  # SearchConfig's default: 0, dc, 2dc, ...
         if args.c_pattern:
             pattern = tuple(Fraction(tok) for tok in args.c_pattern.split(","))
-        else:
-            pattern = uniform_c_pattern(args.stages, delta_c)
         cfg = SearchConfig(
             stages=args.stages,
             target_order=args.order,
-            delta_c=delta_c,
+            delta_c=Fraction(args.dc),
             c_pattern=pattern,
             rng_seed=args.seed,
             max_iters=args.max_iters,
@@ -154,11 +129,9 @@ def cmd_search(args) -> int:
         )
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(str(exc)) from None
-    t0 = time.perf_counter()
     results = multi_start_search(cfg, args.seeds)
+    run.seeds = [int(r.rng_seed) for r in results]
     out_stem = Path(args.out)
-    out_stem.parent.mkdir(parents=True, exist_ok=True)
-    outputs = []
     summary = []
     n_converged = 0
     for idx, res in enumerate(results):
@@ -177,47 +150,29 @@ def cmd_search(args) -> int:
             # stored tableau is exactly spacing-conforming and steppable.
             a_exact = [[Fraction(v) for v in row] for row in res.tableau.a]
             for i in range(1, cfg.stages):
-                a_exact[i][i - 1] += pattern[i] - sum(a_exact[i][:i])
+                a_exact[i][i - 1] += cfg.c_pattern[i] - sum(a_exact[i][:i])
             float_tab = Tableau(
                 tuple(tuple(row) for row in a_exact),
                 tuple(Fraction(v) for v in res.tableau.b),
                 name=f"search seed {idx} (float)",
             )
             float_path = out_stem.with_name(f"{out_stem.name}_seed{idx}_float.tab")
-            float_path.write_text(serialize_tableau(float_tab))
-            outputs.append(float_path)
+            run.write(float_path, serialize_tableau(float_tab))
             entry["float_tableau"] = str(float_path)
             exact = rationalize(res.tableau, args.max_denominator, args.order)
             if exact is not None:
                 exact = Tableau(exact.a, exact.b, name=f"search seed {idx} (exact)")
                 exact_path = out_stem.with_name(f"{out_stem.name}_seed{idx}_exact.tab")
-                exact_path.write_text(serialize_tableau(exact))
-                outputs.append(exact_path)
+                run.write(exact_path, serialize_tableau(exact))
                 entry["exact_tableau"] = str(exact_path)
         summary.append(entry)
-    summary_path = out_stem.with_name(f"{out_stem.name}_summary.json")
-    summary_path.write_text(json.dumps(
-        {"converged": n_converged, "seeds": summary}, indent=2) + "\n")
-    outputs.append(summary_path)
-    manifest = RunManifest(
-        subcommand="search",
-        parameters={
-            "stages": args.stages, "order": args.order, "dc": str(delta_c),
-            "c_pattern": [str(ci) for ci in pattern], "seeds": args.seeds,
-            "seed": args.seed, "max_iters": args.max_iters, "tol": args.tol,
-            "max_denominator": args.max_denominator,
-        },
-        seeds=[int(r.rng_seed) for r in results],
-        outputs=outputs,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out_stem.with_name(f"{out_stem.name}_manifest.json"))
+    run.write(out_stem.with_name(f"{out_stem.name}_summary.json"),
+              json.dumps({"converged": n_converged, "seeds": summary}, indent=2) + "\n")
     print(f"{n_converged}/{args.seeds} seeds converged")
     return 0
 
 
-def cmd_stability(args) -> int:
-    t0 = time.perf_counter()
+def cmd_stability(args, run: _Run) -> int:
     z2 = _parse_complex("--z2", args.z2)
     if args.samples < 16:
         raise _UsageError(f"--samples must be >= 16, got {args.samples}")
@@ -227,31 +182,19 @@ def cmd_stability(args) -> int:
         curves = [("rk4", out.with_name(f"{out.stem}_rk4{out.suffix}")),
                   ("rk6", out.with_name(f"{out.stem}_rk6{out.suffix}"))]
     curves = [(_tableau(tab_name), path) for tab_name, path in curves]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for tab, path in curves:
         phi = stability_polynomial(tab)
         boundary = region_boundary(phi, z2, args.samples)
         lines = ["re(z),im(z)"]
         lines += [f"{z.real:.12g},{z.imag:.12g}" for z in boundary.points]
-        path.write_text("\n".join(lines) + "\n")
-        outputs.append(path)
+        run.write(path, "\n".join(lines) + "\n")
         if boundary.skipped_angles:
             print(f"{path}: {len(boundary.skipped_angles)} rays had no crossing",
                   file=sys.stderr)
-    manifest = RunManifest(
-        subcommand="stability",
-        parameters={"tableau": args.tableau, "z2": args.z2, "samples": args.samples,
-                    "compare_rk4_rk6": args.compare_rk4_rk6},
-        outputs=outputs,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out.with_name(f"{out.stem}_manifest.json"))
     return 0
 
 
-def cmd_integrate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_integrate(args, run: _Run) -> int:
     tab = _tableau(args.tableau)
     if args.problem == "scalar":
         lam1 = _parse_complex("--lam1", args.lam1)
@@ -283,60 +226,38 @@ def cmd_integrate(args) -> int:
     }
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        manifest = RunManifest(
-            subcommand="integrate",
-            parameters={k: v for k, v in vars(args).items() if k != "func"},
-            outputs=[out],
-            duration_s=time.perf_counter() - t0,
-        )
-        manifest.write(out.with_name(f"{out.stem}_manifest.json"))
+        run.write(Path(args.out), text)
     else:
         print(text, end="")
     return 0
 
 
-def cmd_ns_converge(args) -> int:
-    t0 = time.perf_counter()
+def cmd_ns_converge(args, run: _Run) -> int:
     steps = [int(tok) for tok in args.steps.split(",")]
     grid = navier_stokes.make_grid(args.n)
     result = navier_stokes.convergence_study(
         grid, args.nu, args.t, steps, reference_steps=args.ref)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["scheme,m,linf_error"]
     lines += [f"{c.scheme},{c.n_steps},{c.linf_error:.12g}" for c in result.cells]
-    out.write_text("\n".join(lines) + "\n")
-    slopes_path = out.with_name(f"{out.stem}_slopes{out.suffix}")
+    run.write(out, "\n".join(lines) + "\n")
     slines = ["scheme,fitted_slope,fit_points"]
     slines += [f"{name},{slope:.6g},{';'.join(map(str, result.fit_points[name]))}"
                for name, slope in result.slopes.items()]
-    slopes_path.write_text("\n".join(slines) + "\n")
-    manifest = RunManifest(
-        subcommand="ns-converge",
-        parameters={"n": args.n, "nu": args.nu, "t": args.t,
-                    "steps": steps, "ref": args.ref},
-        outputs=[out, slopes_path],
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out.with_name(f"{out.stem}_manifest.json"))
+    run.write(out.with_name(f"{out.stem}_slopes{out.suffix}"), "\n".join(slines) + "\n")
     for name, slope in result.slopes.items():
         print(f"{name}: fitted slope {slope:.3f} over m = {result.fit_points[name]}")
     return 0
 
 
-def write_snapshot(path: Path, field_phys: np.ndarray, t: float):
+def _snapshot(field_phys: np.ndarray, t: float) -> bytes:
     """Binary vorticity snapshot: text header (n, time), then row-major float64."""
-    n = field_phys.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(f"n {n}\ntime {t:.17g}\n".encode())
-        fh.write(np.ascontiguousarray(field_phys, dtype=np.float64).tobytes())
+    header = f"n {field_phys.shape[0]}\ntime {t:.17g}\n".encode()
+    return header + np.ascontiguousarray(field_phys, dtype=np.float64).tobytes()
 
 
 def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
-    """Inverse of write_snapshot."""
+    """Inverse of the snapshot writer of ns-run."""
     raw = path.read_bytes()
     first = raw.index(b"\n")
     second = raw.index(b"\n", first + 1)
@@ -346,14 +267,13 @@ def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
     return data.reshape(n, n), t
 
 
-def cmd_ns_run(args) -> int:
+def cmd_ns_run(args, run: _Run) -> int:
     if args.steps < 1:
         raise _UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.every < 0:
         raise _UsageError(f"--every must be >= 0, got {args.every}")
     if not (math.isfinite(args.t) and args.t > 0):
         raise _UsageError(f"--t must be finite and positive, got {args.t}")
-    t0 = time.perf_counter()
     tab = _tableau(args.tableau)
     grid = navier_stokes.make_grid(args.n)
     problem = navier_stokes.make_problem(grid, args.nu)
@@ -361,27 +281,15 @@ def cmd_ns_run(args) -> int:
     plan = _make_plan(problem, tab, h)
     w_hat = navier_stokes.initial_condition(grid)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    outputs = []
     chunk = args.every or args.steps
     done = 0
     while args.steps - done > chunk:
         w_hat = integrate(plan, w_hat, chunk)
         done += chunk
-        path = out.with_name(f"{out.stem}_step{done}{out.suffix}")
-        write_snapshot(path, navier_stokes.vorticity_field(w_hat), done * h)
-        outputs.append(path)
+        run.write(out.with_name(f"{out.stem}_step{done}{out.suffix}"),
+                  _snapshot(navier_stokes.vorticity_field(w_hat), done * h))
     w_hat = integrate(plan, w_hat, args.steps - done)
-    write_snapshot(out, navier_stokes.vorticity_field(w_hat), args.t)
-    outputs.append(out)
-    manifest = RunManifest(
-        subcommand="ns-run",
-        parameters={"n": args.n, "nu": args.nu, "t": args.t, "steps": args.steps,
-                    "tableau": args.tableau, "every": args.every},
-        outputs=outputs,
-        duration_s=time.perf_counter() - t0,
-    )
-    manifest.write(out.with_name(f"{out.stem}_manifest.json"))
+    run.write(out, _snapshot(navier_stokes.vorticity_field(w_hat), args.t))
     return 0
 
 
@@ -476,13 +384,28 @@ def _merge_complex_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_complex_values(list(argv)))
+    args = build_parser().parse_args(_merge_complex_values(list(argv)))
+    run = _Run()
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args, run)
     except _UsageError as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if run.outputs:
+        out = Path(args.out)
+        manifest = {
+            "subcommand": args.subcommand,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in ("func", "subcommand")},
+            "seeds": run.seeds,
+            "version": __version__,
+            "outputs": run.outputs,
+            "duration_s": time.perf_counter() - t0,
+        }
+        out.with_name(f"{out.stem}_manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 def entry():

@@ -173,16 +173,11 @@ def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
     return out
 
 
-def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int, record: bool = False):
-    """Step n_steps times; returns the final state, or all states when record."""
+def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
+    """Step n_steps times from u0; returns the final state."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     u = np.asarray(u0)
-    states = [u] if record else None
     for _ in range(n_steps):
         u = slrk_step(plan, u)
-        if record:
-            states.append(u)
-    if record:
-        return np.stack(states)
     return u

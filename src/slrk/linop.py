@@ -41,11 +41,6 @@ class LinearOperator:
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "data", data)
 
-    @property
-    def n(self) -> int:
-        """State dimension (total mode count for grid-shaped spectra)."""
-        return self.data.size if self.kind == "diagonal" else self.data.shape[0]
-
 
 def diagonal_operator(spectrum) -> LinearOperator:
     """Operator that is diagonal in the state basis.
@@ -59,11 +54,6 @@ def diagonal_operator(spectrum) -> LinearOperator:
 def dense_operator(matrix) -> LinearOperator:
     """General dense square operator."""
     return LinearOperator("dense", np.asarray(matrix))
-
-
-def zero_operator(n: int) -> LinearOperator:
-    """Diagonal zero operator of dimension n (propagators are identity)."""
-    return diagonal_operator(np.zeros(n))
 
 
 @dataclass(frozen=True)

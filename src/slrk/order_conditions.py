@@ -60,28 +60,6 @@ class RootedTree:
 LEAF = RootedTree()
 
 
-def tree_from_level_sequence(seq) -> RootedTree:
-    """Rebuild a tree from its preorder depth sequence."""
-    seq = list(seq)
-    if not seq:
-        raise ValueError("empty level sequence")
-
-    def build(pos, depth):
-        kids = []
-        i = pos + 1
-        while i < len(seq) and seq[i] > depth:
-            if seq[i] != depth + 1:
-                raise ValueError(f"bad level sequence {seq}")
-            child, i = build(i, depth + 1)
-            kids.append(child)
-        return RootedTree(tuple(kids)), i
-
-    root, end = build(0, seq[0])
-    if end != len(seq):
-        raise ValueError(f"bad level sequence {seq}")
-    return root
-
-
 @lru_cache(maxsize=None)
 def _trees_of_order(n: int) -> tuple[RootedTree, ...]:
     if n == 1:
@@ -120,14 +98,6 @@ def enumerate_trees(max_order: int) -> list[RootedTree]:
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be in [1, {MAX_ORDER}], got {max_order}")
     return [t for n in range(1, max_order + 1) for t in _trees_of_order(n)]
-
-
-def density(t: RootedTree) -> Fraction:
-    """Tree density: order(t) times the product of child densities."""
-    gamma = Fraction(t.order)
-    for child in t.children:
-        gamma *= density(child)
-    return gamma
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +140,10 @@ def _stage_weights(a: np.ndarray, max_order: int):
 
 @lru_cache(maxsize=None)
 def _densities(max_order: int) -> tuple[int, ...]:
-    """density(t) of every tree of order <= max_order, in enumerate_trees order."""
+    """Density of every tree of order <= max_order, in enumerate_trees order.
+
+    The density of t is order(t) times the product of its children's densities.
+    """
     gammas = []
     for t, (kids, _) in zip(enumerate_trees(max_order), _program(max_order)):
         gammas.append(t.order * math.prod(gammas[kid] for kid in kids))

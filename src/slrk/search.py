@@ -42,6 +42,12 @@ LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e8
 LAMBDA_SHRINK = 3.0
 LAMBDA_GROW = 4.0
+DAMPING = 0.5  # step fraction until the residual falls below QUADRATIC_PHASE_NORM
+INIT_SCALE = 0.5  # standard deviation of the Gaussian initial guess
+# Give up when the best residual over the last STALL_WINDOW iterations
+# is no better than STALL_FACTOR times the best seen before it.
+STALL_WINDOW = 30
+STALL_FACTOR = 0.9
 
 
 def uniform_c_pattern(stages: int, delta_c: Fraction) -> tuple[Fraction, ...]:
@@ -57,15 +63,9 @@ class SearchConfig:
     target_order: int
     delta_c: Fraction
     c_pattern: tuple[Fraction, ...] | None = None
-    damping: float = 0.5
     max_iters: int = 500
     residual_tol: float = 1e-12
     rng_seed: int = 0
-    init_scale: float = 0.5
-    # Give up when the best residual over the last stall_window iterations
-    # is no better than stall_factor times the best seen before it.
-    stall_window: int = 30
-    stall_factor: float = 0.9
 
     def __post_init__(self):
         if self.stages < 1:
@@ -75,14 +75,10 @@ class SearchConfig:
         delta_c = Fraction(self.delta_c)
         if delta_c <= 0:
             raise ValueError(f"delta_c must be > 0, got {delta_c}")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.residual_tol > 0:
             raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
         pattern = self.c_pattern
         if pattern is None:
             pattern = uniform_c_pattern(self.stages, delta_c)
@@ -219,7 +215,7 @@ def search(cfg: SearchConfig) -> SearchResult:
     once per trial step, and an accepted trial's residual is reused.
     """
     rng = np.random.default_rng(cfg.rng_seed)
-    x = cfg.init_scale * rng.standard_normal(cfg.n_unknowns)
+    x = INIT_SCALE * rng.standard_normal(cfg.n_unknowns)
     f = residual_vector(x, cfg)
     resid = float(np.linalg.norm(f, np.inf))
     reg_lambda = LAMBDA_INIT
@@ -236,10 +232,10 @@ def search(cfg: SearchConfig) -> SearchResult:
         if iters >= cfg.max_iters:
             status = "stalled"
             break
-        if len(history) > cfg.stall_window:
-            recent = min(history[-cfg.stall_window:])
-            before = min(history[:-cfg.stall_window])
-            if recent > cfg.stall_factor * before:
+        if len(history) > STALL_WINDOW:
+            recent = min(history[-STALL_WINDOW:])
+            before = min(history[:-STALL_WINDOW])
+            if recent > STALL_FACTOR * before:
                 status = "stalled"
                 break
         try:
@@ -247,7 +243,7 @@ def search(cfg: SearchConfig) -> SearchResult:
         except np.linalg.LinAlgError:
             status = "stalled"
             break
-        gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else cfg.damping
+        gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else DAMPING
         accepted = False
         while reg_lambda <= LAMBDA_MAX:
             x_new = x - gamma * _filtered_step(svd, f, reg_lambda)

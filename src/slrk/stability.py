@@ -64,11 +64,6 @@ def stability_polynomial(tab: Tableau) -> StabilityPolynomial:
     return StabilityPolynomial(tuple(coeffs))
 
 
-def slrk_amplification(phi: StabilityPolynomial, z1: complex, z2: complex) -> complex:
-    """Amplification of one Lawson step with explicit rate z1 and stiff rate z2."""
-    return cmath.exp(z2) * phi(z1)
-
-
 @dataclass(frozen=True)
 class RegionBoundary:
     """Polyline |exp(z2)*Phi(z)| = 1, one point per ray that crosses."""
@@ -159,15 +154,14 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                           skipped_angles=tuple(float(t) for t in thetas[~crossing]))
 
 
-def real_axis_boundary(phi: StabilityPolynomial, z2: float = 0.0) -> float:
+def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
     """Most negative real z1 with |exp(z2)*Phi| <= 1 on all of [z1, 0].
 
     Scans left from the origin for the first exit of the stable interval,
-    then bisects the crossing to 1e-6.
+    then bisects the crossing to 1e-6. Only Re z2 matters: the imaginary
+    part has no effect on magnitudes.
     """
-    if complex(z2).imag != 0.0:
-        z2 = complex(z2).real  # imaginary part has no effect on magnitudes
-    z2 = float(z2)
+    z2 = complex(z2).real
     if z2 > 0.0:
         raise ValueError("real_axis_boundary requires z2 <= 0")
     rmax = _radius_bound(phi, complex(z2))

@@ -8,12 +8,10 @@ comparisons. The abscissae c are always derived from row sums of a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-Rational = Fraction
 
 
 class TableauParseError(ValueError):
@@ -168,13 +166,11 @@ class SpacingReport:
     conforming means c[0] = 0, c is non-decreasing, and every increment
     c[i+1] - c[i] is exactly 0 or exactly delta_c. delta_c is None for
     the degenerate case (single stage, or all increments zero) and for
-    non-conforming tableaux. increments labels each gap "zero" or "step"
-    and is empty when non-conforming.
+    non-conforming tableaux.
     """
 
     conforming: bool
     delta_c: Fraction | None = None
-    increments: tuple[str, ...] = field(default_factory=tuple)
 
 
 def spacing_report(t: Tableau) -> SpacingReport:
@@ -187,8 +183,7 @@ def spacing_report(t: Tableau) -> SpacingReport:
     if any(d < 0 for d in diffs) or len(nonzero) > 1:
         return SpacingReport(conforming=False)
     delta = nonzero[0] if nonzero else None
-    labels = tuple("step" if d != 0 else "zero" for d in diffs)
-    return SpacingReport(conforming=True, delta_c=delta, increments=labels)
+    return SpacingReport(conforming=True, delta_c=delta)
 
 
 def _parse_rational(token: str) -> Fraction:

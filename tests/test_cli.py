@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, manifests, output determinism."""
 
+import cmath
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,9 +131,9 @@ def test_integrate_scalar_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     got = complex(payload["norms"]["final_re"], payload["norms"]["final_im"])
     # one rate handled by the polynomial, the stiff one exactly
-    from slrk.stability import slrk_amplification, stability_polynomial
+    from slrk.stability import stability_polynomial
     phi = stability_polynomial(rk6_tableau())
-    want = slrk_amplification(phi, 0.5j, -1.5) ** 4
+    want = (cmath.exp(-1.5) * phi(0.5j)) ** 4
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -241,3 +243,43 @@ def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # default output files would land here
     code = main(args + ["--tableau", "nosuch"])
     assert_usage_error(tmp_path, capsys, code, "no tableau file 'nosuch'")
+
+
+def argv_from_manifest(manifest, out):
+    """The command line a manifest records, with --out pointed at `out`."""
+    argv = [manifest["subcommand"]]
+    for name, value in {**manifest["parameters"], "out": str(out)}.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@pytest.mark.parametrize("argv,out_name", [
+    (["stability", "--tableau", "rk4", "--z2", "-10,0", "--samples", "32",
+      "--compare-rk4-rk6"], "fig.csv"),
+    (["search", "--stages", "4", "--order", "4", "--dc", "1/2", "--c-pattern", "0,1/2,1/2,1",
+      "--seeds", "4", "--seed", "11"], "run"),
+    (["integrate", "--tableau", "rk6", "--problem", "ns", "--n", "16", "--h", "0.01",
+      "--steps", "2"], "ns.json"),
+    (["ns-converge", "--n", "16", "--t", "0.1", "--steps", "4,8", "--ref", "32"], "conv.csv"),
+    (["ns-run", "--n", "16", "--t", "0.05", "--steps", "5", "--every", "2",
+      "--tableau", "rk4"], "w.bin"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_manifest_replays_its_run(tmp_path, capsys, argv, out_name):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["--out", str(first / out_name)]) == 0
+    stem = out_name.split(".")[0]
+    manifest_path = first / f"{stem}_manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    written = [str(p) for p in first.iterdir() if p != manifest_path]
+    assert sorted(manifest["outputs"]) == sorted(written)
+    assert main(argv_from_manifest(manifest, second / out_name)) == 0
+    assert {p.name for p in second.iterdir()} == {p.name for p in first.iterdir()}
+    for path in map(Path, manifest["outputs"]):
+        replayed = (second / path.name).read_bytes()
+        if path.name.endswith("_summary.json"):  # it names the tableau files it wrote
+            replayed = replayed.replace(str(second).encode(), str(first).encode())
+        assert replayed == path.read_bytes(), path.name

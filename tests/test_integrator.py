@@ -14,7 +14,7 @@ from slrk.integrator import (
     make_plan,
     slrk_step,
 )
-from slrk.linop import diagonal_operator, zero_operator
+from slrk.linop import diagonal_operator
 from slrk.tableau import (
     Tableau,
     euler_tableau,
@@ -80,7 +80,7 @@ def test_lawson_general_reduces_to_rk_with_zero_operator():
     rng = np.random.default_rng(4)
     u = rng.standard_normal(5)
     g = lambda v: np.sin(v)
-    got = lawson_step_general(rk4_tableau(), g, zero_operator(5), u, 0.3)
+    got = lawson_step_general(rk4_tableau(), g, diagonal_operator(np.zeros(5)), u, 0.3)
     plan = make_plan(OdeProblem(g=g, A=None), rk4_tableau(), 0.3)
     want = slrk_step(plan, u)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -114,7 +114,7 @@ def test_slrk_equals_general_lawson_oracle(make):
 def test_slrk_with_zero_operator_matches_rk_step():
     g = lambda v: np.cos(v)
     u = np.linspace(-1, 1, 7)
-    plan0 = make_plan(OdeProblem(g=g, A=zero_operator(7)), rk6_tableau(), 0.2)
+    plan0 = make_plan(OdeProblem(g=g, A=diagonal_operator(np.zeros(7))), rk6_tableau(), 0.2)
     plan = make_plan(OdeProblem(g=g, A=None), rk6_tableau(), 0.2)
     got = slrk_step(plan0, u.astype(complex))
     want = slrk_step(plan, u)
@@ -253,12 +253,13 @@ def test_rk6_halving_reduces_error_sixtyfourfold():
     assert 50.0 <= e1 / e2 <= 80.0
 
 
-def test_integrate_records_trajectory():
+def test_integrate_is_repeated_slrk_step():
     prob = OdeProblem(g=lambda v: -v, A=None)
     plan = make_plan(prob, rk4_tableau(), 0.1)
-    traj = integrate(plan, np.ones(2), 5, record=True)
-    assert traj.shape == (6, 2)
-    assert np.array_equal(traj[0], np.ones(2))
+    u = np.ones(2)
+    for n_steps in range(1, 6):
+        u = slrk_step(plan, u)
+        assert np.array_equal(integrate(plan, np.ones(2), n_steps), u)
     with pytest.raises(ValueError):
         integrate(plan, np.ones(2), 0)
 

@@ -9,11 +9,10 @@ from slrk.order_conditions import (
     LEAF,
     VERIFIED_ORDER_CAP,
     RootedTree,
-    density,
+    _densities,
     elementary_weight,
     enumerate_trees,
     order_residuals,
-    tree_from_level_sequence,
     verified_order,
 )
 from slrk.tableau import Tableau, euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
@@ -114,9 +113,10 @@ def test_enumerate_range_check():
 def test_enumeration_deterministic_and_closed_under_canonical_form():
     trees = enumerate_trees(7)
     assert trees == enumerate_trees(7)
-    rebuilt = {tree_from_level_sequence(t.level_sequence()) for t in trees}
-    assert rebuilt == set(trees)
-    assert len(rebuilt) == len(trees)
+    # level sequences are canonical: distinct trees, distinct sequences
+    assert len({t.level_sequence() for t in trees}) == len(trees)
+    for t in trees:
+        assert RootedTree(tuple(reversed(t.children))) == t
 
 
 def test_isomorphic_trees_compare_equal():
@@ -127,17 +127,16 @@ def test_isomorphic_trees_compare_equal():
 
 
 def test_density_base_cases():
-    assert density(LEAF) == 1
-    assert density(PATH2) == 2
-    assert density(PATH3) == 6
-    assert density(BUSHY3) == 3
+    assert enumerate_trees(3) == [LEAF, PATH2, BUSHY3, PATH3]
+    assert _densities(3) == (1, 2, 3, 6)
 
 
 def test_density_matches_subtree_product_oracle():
-    for t in enumerate_trees(8):
-        gamma = density(t)
-        assert gamma.denominator == 1
-        assert gamma == subtree_size_product(t)
+    trees = enumerate_trees(8)
+    assert all(type(gamma) is int for gamma in _densities(8))
+    assert list(_densities(8)) == [subtree_size_product(t) for t in trees]
+    conditions = order_residuals(rk4_tableau(), 8)
+    assert [c.density for c in conditions] == [subtree_size_product(t) for t in trees]
 
 
 @pytest.mark.parametrize("make", [euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau])
@@ -155,7 +154,7 @@ def test_path2_weight_on_rk4():
 def test_rk6_satisfies_all_order6_conditions():
     t = rk6_tableau()
     for tree in enumerate_trees(6):
-        assert elementary_weight(t, tree) == 1 / density(tree)
+        assert elementary_weight(t, tree) == Fraction(1, subtree_size_product(tree))
 
 
 def test_weight_invariant_under_child_permutation():
@@ -197,7 +196,8 @@ def test_verified_order():
 def test_exact_residuals_match_recursive_oracle(tab):
     # Every order 1..8 builds its own subtree program; all must give the
     # oracle's Fractions exactly, zero or not.
-    oracle = {t: reference_weight(tab, t) - 1 / density(t) for t in enumerate_trees(8)}
+    oracle = {t: reference_weight(tab, t) - Fraction(1, subtree_size_product(t))
+              for t in enumerate_trees(8)}
     assert any(r != 0 for r in oracle.values())
     for p in range(1, 9):
         conditions = order_residuals(tab, p)
@@ -218,6 +218,6 @@ def test_verified_order_drops_on_perturbed_tableaux(tab, order):
     assert verified_order(tab) == order
     # the largest p whose oracle residuals all vanish
     oracle = max([0] + [p for p in range(1, VERIFIED_ORDER_CAP + 1)
-                        if all(reference_weight(tab, t) == 1 / density(t)
+                        if all(reference_weight(tab, t) == Fraction(1, subtree_size_product(t))
                                for t in enumerate_trees(p))])
     assert oracle == order

@@ -8,12 +8,13 @@ from math import factorial
 import numpy as np
 import pytest
 
+from slrk.integrator import OdeProblem, make_plan, slrk_step
+from slrk.linop import diagonal_operator
 from slrk.order_conditions import verified_order
 from slrk.stability import (
     _radius_bound,
     real_axis_boundary,
     region_boundary,
-    slrk_amplification,
     stability_polynomial,
 )
 from slrk.tableau import Tableau, euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
@@ -154,19 +155,28 @@ def test_coefficients_match_exponential_up_to_order(make):
         assert phi.coeffs[k] == Fraction(1, factorial(k))
 
 
+def lawson_amplification(tab, z1, z2):
+    """One SLRK step of u' = z1*u + z2*u (z2 in the propagator) with h = 1, from u = 1."""
+    problem = OdeProblem(g=lambda v: z1 * v, A=diagonal_operator(np.array([z2], dtype=complex)))
+    return slrk_step(make_plan(problem, tab, 1.0), np.ones(1, dtype=complex))[0]
+
+
 def test_amplification_degenerate_arguments():
-    phi = stability_polynomial(rk4_tableau())
+    # The law exp(z2)*Phi(z1) reduces to Phi(z1) at z2 = 0 and to exp(z2) at z1 = 0.
+    tab = rk4_tableau()
+    phi = stability_polynomial(tab)
     z1 = 0.7 - 0.3j
-    assert slrk_amplification(phi, z1, 0.0) == phi(z1)
-    assert abs(slrk_amplification(phi, 0.0, -2.0 + 1.0j) - cmath.exp(-2.0 + 1.0j)) <= 1e-15
+    assert abs(lawson_amplification(tab, z1, 0.0) - phi(z1)) <= 1e-15 * abs(phi(z1))
+    assert abs(lawson_amplification(tab, 0.0, -2.0 + 1.0j) - cmath.exp(-2.0 + 1.0j)) <= 1e-15
 
 
 def test_imaginary_stiff_rate_preserves_magnitude():
-    phi = stability_polynomial(rk6_tableau())
+    tab = rk6_tableau()
+    phi = stability_polynomial(tab)
     z1 = -1.1 + 0.8j
     base = abs(phi(z1))
     for y in (0.3, 2.0, 40.0):
-        assert abs(abs(slrk_amplification(phi, z1, 1j * y)) - base) <= 1e-13 * base
+        assert abs(abs(lawson_amplification(tab, z1, 1j * y)) - base) <= 1e-13 * base
 
 
 def test_euler_region_is_unit_circle():
@@ -236,6 +246,12 @@ def test_imaginary_part_of_z2_leaves_boundary_unchanged():
     phi = stability_polynomial(rk6_tableau())
     assert abs(real_axis_boundary(phi, -10.0)
                - real_axis_boundary(phi, complex(-10.0, 7.0))) <= 1e-6
+
+
+@pytest.mark.parametrize("z2", [-2.0, complex(-2, 0), complex(-2, 3)], ids=repr)
+def test_real_axis_boundary_accepts_real_and_complex_z2(z2):
+    phi = stability_polynomial(rk4_tableau())
+    assert real_axis_boundary(phi, z2) == real_axis_boundary(phi, -2.0)
 
 
 def test_positive_z2_rejected():
