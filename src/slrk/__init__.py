@@ -32,7 +32,6 @@ from .order_conditions import (
 )
 from .linop import (
     LinearOperator,
-    Propagator,
     apply,
     dense_operator,
     diagonal_operator,
@@ -68,4 +67,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -195,6 +195,8 @@ def cmd_stability(args, run: _Run) -> int:
 
 
 def cmd_integrate(args, run: _Run) -> int:
+    if args.steps < 1:
+        raise _UsageError(f"--steps must be >= 1, got {args.steps}")
     tab = _tableau(args.tableau)
     if args.problem == "scalar":
         lam1 = _parse_complex("--lam1", args.lam1)
@@ -233,10 +235,17 @@ def cmd_integrate(args, run: _Run) -> int:
 
 
 def cmd_ns_converge(args, run: _Run) -> int:
-    steps = [int(tok) for tok in args.steps.split(",")]
-    grid = navier_stokes.make_grid(args.n)
-    result = navier_stokes.convergence_study(
-        grid, args.nu, args.t, steps, reference_steps=args.ref)
+    try:
+        steps = [int(tok) for tok in args.steps.split(",")]
+    except ValueError:
+        raise _UsageError(f"--steps expects comma-separated integers, got {args.steps!r}") from None
+    try:
+        # convergence_study validates its arguments before the reference run starts.
+        grid = navier_stokes.make_grid(args.n)
+        result = navier_stokes.convergence_study(
+            grid, args.nu, args.t, steps, reference_steps=args.ref)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     out = Path(args.out)
     lines = ["scheme,m,linf_error"]
     lines += [f"{c.scheme},{c.n_steps},{c.linf_error:.12g}" for c in result.cells]
@@ -403,7 +412,9 @@ def main(argv=None) -> int:
             "outputs": run.outputs,
             "duration_s": time.perf_counter() - t0,
         }
-        out.with_name(f"{out.stem}_manifest.json").write_text(
+        # search's --out is a stem that may contain dots, like its other outputs' names
+        stem = out.name if args.subcommand == "search" else out.stem
+        out.with_name(f"{stem}_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return code
 

@@ -3,7 +3,8 @@
 Two operator variants: a diagonal spectrum (cheap elementwise
 exponentials, used by the spectral benchmark) and a dense matrix
 (exponentiated by scaling-and-squaring with a degree-13 diagonal Pade
-approximant).
+approximant). A propagator exp(tau*A) is itself a LinearOperator of the
+same kind, applied by ``apply``.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ def dense_operator(matrix) -> LinearOperator:
     return LinearOperator("dense", np.asarray(matrix))
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Precomputed action of exp(tau * A) on state vectors."""
-
-    kind: str
-    data: np.ndarray
-
-
 def expm(m: np.ndarray) -> np.ndarray:
     """Dense matrix exponential, scaling-and-squaring + Pade 13.
 
@@ -91,17 +84,23 @@ def expm(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def make_propagator(A: LinearOperator, tau: float) -> Propagator:
-    """Encode exp(tau * A): elementwise for diagonal A, expm for dense."""
+def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
+    """exp(tau * A) as an operator of A's kind: elementwise for diagonal A, expm for dense.
+
+    Raises ValueError if the exponential overflows.
+    """
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
-    if A.kind == "diagonal":
-        return Propagator("diagonal", np.exp(tau * A.data))
-    return Propagator("dense", expm(tau * A.data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.exp(tau * A.data) if A.kind == "diagonal" else expm(tau * A.data)
+    try:
+        return LinearOperator(A.kind, data)  # LinearOperator rejects non-finite entries
+    except ValueError:
+        raise ValueError(f"exp(tau*A) overflows at tau = {tau:g}") from None
 
 
-def apply(e: Propagator, v: np.ndarray) -> np.ndarray:
-    """Apply the propagator to a state vector (or grid-shaped state)."""
+def apply(e: LinearOperator, v: np.ndarray) -> np.ndarray:
+    """Apply an operator (typically a propagator) to a state vector or grid-shaped state."""
     v = np.asarray(v)
     if e.kind == "diagonal":
         if v.shape != e.data.shape:

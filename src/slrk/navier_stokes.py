@@ -111,14 +111,12 @@ def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
     physical space then dealiased. Only the input's half spectrum is read,
     with real transforms; the output is its exactly Hermitian extension.
     """
-    if not np.all(np.isfinite(omega_hat)):
-        raise NonFiniteStateError("non-finite vorticity coefficients (blow-up?)")
     n, m = grid.n, grid.n // 2 + 1
     w_half, ikx, iky = omega_hat[:, :m], grid.ikx, grid.iky_half
     out = np.empty((n, n), dtype=complex)
     half = out[:, :m]
 
-    # Overflow here just means blow-up; the finite check on the next call raises.
+    # Overflow here just means blow-up; the stepper's finite check on the slope raises.
     with np.errstate(over="ignore", invalid="ignore"):
         psi = w_half * grid.inv_k_squared_half
         # Four calls: one batched (4, n, n/2+1) irfft2 gives the same bits, but its
@@ -197,6 +195,8 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float,
     """
     if sorted(step_counts) != list(step_counts) or len(set(step_counts)) != len(step_counts):
         raise ValueError("step_counts must be strictly increasing")
+    if min(step_counts) < 1:
+        raise ValueError(f"step counts must be >= 1, got {min(step_counts)}")
     if reference_steps is None:
         reference_steps = 4 * max(step_counts)
     if reference_steps < 4 * max(step_counts):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +70,9 @@ class Tableau:
         """Stage count."""
         return len(self.b)
 
-    @property
+    @cached_property
     def c(self) -> tuple[Fraction, ...]:
-        """Abscissae, exact row sums of a."""
+        """Abscissae, exact row sums of a (computed once per tableau)."""
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
     def as_floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

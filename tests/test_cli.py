@@ -245,6 +245,19 @@ def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
     assert_usage_error(tmp_path, capsys, code, "no tableau file 'nosuch'")
 
 
+@pytest.mark.parametrize("args,message", [
+    (["ns-converge", "--steps", "4,x"], "--steps expects comma-separated integers"),
+    (["ns-converge", "--steps", "0,4", "--ref", "8"], "step counts must be >= 1"),
+    (["ns-converge", "--steps", "4,8", "--ref", "16"], "reference step count must be >= 4x"),
+    (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "0"], "--steps must be >= 1"),
+    (["integrate", "--tableau", "rk4", "--h", "1", "--steps", "1", "--lam2", "10000,0"],
+     "exp(tau*A) overflows"),
+])
+def test_bad_counts_and_steps_are_usage_errors(tmp_path, capsys, args, message):
+    code = main(args + ["--n", "16", "--out", str(tmp_path / "sub" / "out.csv")])
+    assert_usage_error(tmp_path, capsys, code, message)
+
+
 def argv_from_manifest(manifest, out):
     """The command line a manifest records, with --out pointed at `out`."""
     argv = [manifest["subcommand"]]
@@ -283,3 +296,15 @@ def test_manifest_replays_its_run(tmp_path, capsys, argv, out_name):
         if path.name.endswith("_summary.json"):  # it names the tableau files it wrote
             replayed = replayed.replace(str(second).encode(), str(first).encode())
         assert replayed == path.read_bytes(), path.name
+
+
+def test_search_manifests_of_dotted_out_names_stay_apart(tmp_path, capsys):
+    argv = ["search", "--stages", "4", "--order", "4", "--dc", "1/2",
+            "--c-pattern", "0,1/2,1/2,1", "--seeds", "2", "--seed", "11"]
+    for version in ("v1", "v2"):
+        assert main(argv + ["--out", str(tmp_path / f"s8.{version}")]) == 0
+    for version in ("v1", "v2"):
+        manifest = json.loads((tmp_path / f"s8.{version}_manifest.json").read_text())
+        assert manifest["parameters"]["out"].endswith(f"s8.{version}")
+        assert all(Path(p).name.startswith(f"s8.{version}_") for p in manifest["outputs"])
+    assert not (tmp_path / "s8_manifest.json").exists()

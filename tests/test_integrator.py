@@ -14,7 +14,7 @@ from slrk.integrator import (
     make_plan,
     slrk_step,
 )
-from slrk.linop import diagonal_operator
+from slrk.linop import dense_operator, diagonal_operator
 from slrk.tableau import (
     Tableau,
     euler_tableau,
@@ -86,13 +86,6 @@ def test_lawson_general_reduces_to_rk_with_zero_operator():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_lawson_general_requires_diagonal():
-    from slrk.linop import dense_operator
-    with pytest.raises(ValueError):
-        lawson_step_general(rk4_tableau(), lambda v: v,
-                            dense_operator(np.eye(2)), np.ones(2), 0.1)
-
-
 @pytest.mark.parametrize("make", CONFORMING)
 def test_slrk_equals_general_lawson_oracle(make):
     # The core equivalence: one propagator with gridded abscissae reproduces
@@ -108,6 +101,23 @@ def test_slrk_equals_general_lawson_oracle(make):
         plan = make_plan(OdeProblem(g=g, A=diagonal_operator(lam)), tab, 0.1)
         fast = slrk_step(plan, u)
         ref = lawson_step_general(tab, g, diagonal_operator(lam), u, 0.1)
+        assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make", CONFORMING)
+def test_slrk_equals_general_lawson_oracle_dense(make):
+    # Non-normal dense A: the oracle takes expm at every distinct exponent,
+    # the fast step applies powers of the one exp(delta_c*h*A).
+    tab = make()
+    rng = np.random.default_rng(tab.s)
+    n = 12
+    for _ in range(5):
+        A = dense_operator(3 * rng.standard_normal((n, n)) - 10 * np.eye(n))
+        alpha = rng.standard_normal(n)
+        g = lambda v: alpha * v * v + 0.2 * np.roll(v, 1)
+        u = rng.standard_normal(n)
+        fast = slrk_step(make_plan(OdeProblem(g=g, A=A), tab, 0.1), u)
+        ref = lawson_step_general(tab, g, A, u, 0.1)
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -144,8 +154,7 @@ def test_rk6_propagator_application_count():
     tab = rk6_tableau()
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      tab, 0.1)
-    assert plan.step_before_stage == (False, True, False, True, True, True, True, True)
-    assert plan.trailing_steps == 0
+    assert plan.shifts == (0, 1, 0, 1, 1, 1, 1, 1, 0)
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     assert total == 6 + 26
 
@@ -154,18 +163,26 @@ def test_rk4_propagator_application_count_matches_unrolled_listing():
     # Two blocks: after k1 (u,k1) and after k3 (u,k1,k2,k3): 2 + 4 = 6.
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      rk4_tableau(), 0.1)
-    assert plan.step_before_stage == (False, True, False, True)
+    assert plan.shifts == (0, 1, 0, 1, 0)
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     assert total == 2 + 4
 
 
 def test_heun3_trailing_steps():
+    # c = (0, 1/3, 2/3) on the 1/3 grid: one trailing grid step before the b row.
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      heun3_tableau(), 0.1)
-    assert plan.trailing_steps == 1
+    assert plan.shifts == (0, 1, 1, 1)
     total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     # events at stages 2 and 3 (1+1 u, 1+2 k) plus trailing (1 u, 3 k)
     assert total == 2 + 3 + 4
+
+
+def test_plan_without_operator_has_no_shifts():
+    plan = make_plan(OdeProblem(g=lambda v: v, A=None), rk6_tableau(), 0.1)
+    assert plan.propagator is None
+    assert plan.shifts == (0,) * 9
+    assert plan.weights.shape == (9, 8)
 
 
 def test_two_rate_scalar_amplification():
@@ -218,6 +235,13 @@ def test_make_plan_rejects_bad_step_size(h, with_operator):
     A = diagonal_operator(np.array([-1e3])) if with_operator else None
     with pytest.raises(ValueError, match="step size h must be finite and positive"):
         make_plan(OdeProblem(g=lambda v: v, A=A), rk6_tableau(), h)
+
+
+def test_make_plan_rejects_overflowing_propagator():
+    # rk4 at h = 1 needs exp(0.5 * 1e4), which overflows.
+    A = diagonal_operator(np.array([1e4, -1.0]))
+    with pytest.raises(ValueError, match="overflows"):
+        make_plan(OdeProblem(g=lambda v: v, A=A), rk4_tableau(), 1.0)
 
 
 def test_linear_diagonal_integration_is_exact():

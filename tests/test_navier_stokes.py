@@ -184,13 +184,15 @@ def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
         assert np.array_equal(w, before)
 
 
-def test_rhs_rejects_non_finite_state():
+def test_step_rejects_non_finite_state_at_stage_1():
+    # The RHS does not scan its input; the stepper's check on the first slope does.
     grid = ns.make_grid(32)
     w = ns.initial_condition(grid)
     w[5, 5] = np.nan
+    plan = make_plan(ns.make_problem(grid, 1e-2), rk6_tableau(), 0.01)
     from slrk.integrator import NonFiniteStateError
-    with pytest.raises(NonFiniteStateError):
-        ns.nonlinear_rhs(grid, w)
+    with pytest.raises(NonFiniteStateError, match="stage 1$"):
+        slrk_step(plan, w)
 
 
 def test_streamfunction_velocity_curl_identity():
