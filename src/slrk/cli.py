@@ -239,13 +239,15 @@ def cmd_ns_converge(args, run: _Run) -> int:
         steps = [int(tok) for tok in args.steps.split(",")]
     except ValueError:
         raise _UsageError(f"--steps expects comma-separated integers, got {args.steps!r}") from None
-    try:
-        # convergence_study validates its arguments before the reference run starts.
-        grid = navier_stokes.make_grid(args.n)
-        result = navier_stokes.convergence_study(
-            grid, args.nu, args.t, steps, reference_steps=args.ref)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if steps != sorted(set(steps)):
+        raise _UsageError(f"--steps must be strictly increasing, got {args.steps!r}")
+    if steps[0] < 1:
+        raise _UsageError(f"--steps must be >= 1, got {steps[0]}")
+    if args.ref < 4 * steps[-1]:
+        raise _UsageError(f"--ref must be >= 4x the largest --steps ({4 * steps[-1]}), got {args.ref}")
+    grid = navier_stokes.make_grid(args.n)
+    result = navier_stokes.convergence_study(
+        grid, args.nu, args.t, steps, reference_steps=args.ref)
     out = Path(args.out)
     lines = ["scheme,m,linf_error"]
     lines += [f"{c.scheme},{c.n_steps},{c.linf_error:.12g}" for c in result.cells]

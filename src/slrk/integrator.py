@@ -19,7 +19,6 @@ Two steppers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -135,16 +134,13 @@ def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
 
     Stage values use exp(c_i*h*A) and exp((c_i-c_j)*h*A) pairwise, and
     the update uses exp((1-c_i)*h*A); no spacing assumption, any operator
-    kind (for dense A, one expm per distinct exponent). This is the
-    correctness oracle for slrk_step.
+    kind. This is the correctness oracle for slrk_step.
     """
     a, b, c = tableau.as_floats()
 
     def propagator(tau):
         return make_propagator(A, tau * h)
 
-    if A.kind == "dense":  # one expm per distinct exponent; elementwise ones are cheap to redo
-        propagator = cache(propagator)
     k = []
     for i in range(tableau.s):
         stage = apply(propagator(c[i]), u)

@@ -247,8 +247,9 @@ def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
 
 @pytest.mark.parametrize("args,message", [
     (["ns-converge", "--steps", "4,x"], "--steps expects comma-separated integers"),
-    (["ns-converge", "--steps", "0,4", "--ref", "8"], "step counts must be >= 1"),
-    (["ns-converge", "--steps", "4,8", "--ref", "16"], "reference step count must be >= 4x"),
+    (["ns-converge", "--steps", "8,4"], "--steps must be strictly increasing"),
+    (["ns-converge", "--steps", "0,4", "--ref", "8"], "--steps must be >= 1"),
+    (["ns-converge", "--steps", "4,8", "--ref", "16"], "--ref must be >= 4x"),
     (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "0"], "--steps must be >= 1"),
     (["integrate", "--tableau", "rk4", "--h", "1", "--steps", "1", "--lam2", "10000,0"],
      "exp(tau*A) overflows"),
