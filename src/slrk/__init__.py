@@ -11,16 +11,15 @@ a pseudo-spectral Navier-Stokes convergence benchmark.
 """
 
 from .tableau import (
-    SpacingReport,
     Tableau,
     TableauParseError,
+    abscissa_grid,
     euler_tableau,
     heun3_tableau,
     parse_tableau,
     rk4_tableau,
     rk6_tableau,
     serialize_tableau,
-    spacing_report,
 )
 from .order_conditions import (
     OrderCondition,
@@ -67,4 +66,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

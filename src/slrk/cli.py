@@ -85,14 +85,23 @@ def _parse_complex(flag: str, text: str) -> complex:
         re_im = []
     if len(re_im) not in (1, 2):
         raise _UsageError(f"{flag} expects RE or RE,IM, got {text!r}")
+    if not all(map(math.isfinite, re_im)):
+        raise _UsageError(f"{flag} must be finite, got {text!r}")
     return complex(*re_im)
 
 
-def _make_plan(problem: OdeProblem, tab: Tableau, h: float):
+def _checked(build, *args):
+    """build(*args), its ValueError a usage error; only for builders that check
+    their input before any work (make_plan, make_grid, make_problem)."""
     try:
-        return make_plan(problem, tab, h)
+        return build(*args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _check_end_time(t: float):
+    if not (math.isfinite(t) and t > 0):
+        raise _UsageError(f"--t must be finite and positive, got {t}")
 
 
 def cmd_verify(args, run: _Run) -> int:
@@ -146,8 +155,8 @@ def cmd_search(args, run: _Run) -> int:
             n_converged += 1
             # Exact dyadic rationals preserve the float values in the text
             # format. Row sums are then snapped to the prescribed abscissae
-            # (a change of order residual_tol in one entry per row) so the
-            # stored tableau is exactly spacing-conforming and steppable.
+            # (a change of order residual_tol in one entry per row); SearchConfig
+            # checked them with abscissa_grid, so the stored tableau is steppable.
             a_exact = [[Fraction(v) for v in row] for row in res.tableau.a]
             for i in range(1, cfg.stages):
                 a_exact[i][i - 1] += cfg.c_pattern[i] - sum(a_exact[i][:i])
@@ -205,10 +214,10 @@ def cmd_integrate(args, run: _Run) -> int:
                              A=diagonal_operator(np.array([lam2])))
         u0 = np.ones(1, dtype=complex)
     else:
-        grid = navier_stokes.make_grid(args.n)
-        problem = navier_stokes.make_problem(grid, args.nu)
+        grid = _checked(navier_stokes.make_grid, args.n)
+        problem = _checked(navier_stokes.make_problem, grid, args.nu)
         u0 = navier_stokes.initial_condition(grid)
-    plan = _make_plan(problem, tab, args.h)
+    plan = _checked(make_plan, problem, tab, args.h)
     final = integrate(plan, u0, args.steps)
     if args.problem == "ns":
         field_phys = navier_stokes.vorticity_field(final)
@@ -245,7 +254,9 @@ def cmd_ns_converge(args, run: _Run) -> int:
         raise _UsageError(f"--steps must be >= 1, got {steps[0]}")
     if args.ref < 4 * steps[-1]:
         raise _UsageError(f"--ref must be >= 4x the largest --steps ({4 * steps[-1]}), got {args.ref}")
-    grid = navier_stokes.make_grid(args.n)
+    _check_end_time(args.t)
+    grid = _checked(navier_stokes.make_grid, args.n)
+    _checked(navier_stokes.make_problem, grid, args.nu)  # rejects a bad --nu before any step
     result = navier_stokes.convergence_study(
         grid, args.nu, args.t, steps, reference_steps=args.ref)
     out = Path(args.out)
@@ -283,13 +294,12 @@ def cmd_ns_run(args, run: _Run) -> int:
         raise _UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.every < 0:
         raise _UsageError(f"--every must be >= 0, got {args.every}")
-    if not (math.isfinite(args.t) and args.t > 0):
-        raise _UsageError(f"--t must be finite and positive, got {args.t}")
+    _check_end_time(args.t)
     tab = _tableau(args.tableau)
-    grid = navier_stokes.make_grid(args.n)
-    problem = navier_stokes.make_problem(grid, args.nu)
+    grid = _checked(navier_stokes.make_grid, args.n)
+    problem = _checked(navier_stokes.make_problem, grid, args.nu)
     h = args.t / args.steps
-    plan = _make_plan(problem, tab, h)
+    plan = _checked(make_plan, problem, tab, h)
     w_hat = navier_stokes.initial_condition(grid)
     out = Path(args.out)
     chunk = args.every or args.steps

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .linop import LinearOperator, apply, make_propagator
-from .tableau import Tableau, spacing_report
+from .tableau import Tableau, abscissa_grid
 
 
 class NonFiniteStateError(RuntimeError):
@@ -59,10 +59,10 @@ class StepPlan:
 def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     """Validate the tableau against the problem and precompute the propagator.
 
-    With A present the tableau must be spacing-conforming with a defined
-    grid step delta_c, and (1 - c_s)/delta_c must be a whole number of
-    grid steps; exactly one propagator exp(delta_c*h*A) is built, and a
-    ValueError is raised if it overflows.
+    With A present the abscissae must pass ``abscissa_grid`` (ordered,
+    equally spaced, ending a whole number of grid steps below 1), which
+    also gives the shifts; exactly one propagator exp(delta_c*h*A) is
+    built, and a ValueError is raised if it overflows.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and positive, got {h}")
@@ -70,26 +70,8 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     shifts = (0,) * (tableau.s + 1)
     propagator = None
     if problem.A is not None:
-        spacing = spacing_report(tableau)
-        if not spacing.conforming:
-            raise ValueError(
-                "simple Lawson stepping with a linear operator requires ordered, "
-                "equally spaced abscissae"
-            )
-        if spacing.delta_c is None:
-            raise ValueError(
-                "tableau has no nonzero abscissa increment, so the linear operator "
-                "cannot be represented by a propagator; pass A=None to integrate g alone"
-            )
-        c = (*tableau.c, 1)  # the step ends at abscissa 1
-        steps = [(c[j] - c[j - 1]) / spacing.delta_c for j in range(1, len(c))]
-        if steps[-1].denominator != 1 or steps[-1] < 0:
-            raise ValueError(
-                f"final abscissa {c[-2]} is not a whole number of grid steps "
-                f"below 1 (delta_c = {spacing.delta_c})"
-            )
-        shifts = (0, *map(int, steps))
-        propagator = make_propagator(problem.A, float(spacing.delta_c) * h)
+        delta_c, shifts = abscissa_grid(tableau.c)
+        propagator = make_propagator(problem.A, float(delta_c) * h)
     return StepPlan(problem=problem, h=h, propagator=propagator,
                     weights=np.vstack([a, b]), shifts=shifts)
 

@@ -97,8 +97,8 @@ def forcing_spectrum(grid: SpectralGrid) -> np.ndarray:
 
 def linear_operator(grid: SpectralGrid, nu: float) -> linop.LinearOperator:
     """Diffusion: diagonal spectrum -nu*(kx^2 + ky^2); zero on the mean mode."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    if not (np.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     return linop.diagonal_operator(-nu * grid.k_squared)
 
 

@@ -3,10 +3,12 @@
 The unknown vector x packs b followed by the strictly-lower rows of a.
 The residual F stacks every order condition up to the target order with
 the deviation of each nontrivial abscissa from a prescribed equally
-spaced grid, giving an overdetermined system solved iteratively by
-x <- x - gamma * pinv(J) F with a finite-difference Jacobian and an
-SVD pseudoinverse. Converged floating roots are only trusted after
-rationalization reproduces the order conditions exactly.
+spaced grid (one that ``tableau.abscissa_grid`` accepts, so every root
+is a scheme that simple Lawson stepping can take), giving an
+overdetermined system solved iteratively by x <- x - gamma * pinv(J) F
+with a finite-difference Jacobian and an SVD pseudoinverse. Converged
+floating roots are only trusted after rationalization reproduces the
+order conditions exactly.
 
 The residual evaluates the rooted trees with the subtree program of
 slrk.order_conditions, the one exact verification uses, and forms all
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .order_conditions import _densities, _stage_weights, enumerate_trees, order_residuals
-from .tableau import Tableau
+from .tableau import Tableau, abscissa_grid
 
 DIVERGENCE_NORM = 1e6
 QUADRATIC_PHASE_NORM = 1e-3
@@ -57,7 +59,10 @@ def uniform_c_pattern(stages: int, delta_c: Fraction) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Problem definition and iteration knobs for one search."""
+    """Problem definition and iteration knobs for one search.
+
+    c_pattern (default 0, dc, 2dc, ...) must pass ``abscissa_grid`` with delta_c.
+    """
 
     stages: int
     target_order: int
@@ -85,11 +90,7 @@ class SearchConfig:
         pattern = tuple(Fraction(ci) for ci in pattern)
         if len(pattern) != self.stages:
             raise ValueError("c_pattern length must equal stages")
-        if pattern[0] != 0:
-            raise ValueError("c_pattern must start at 0")
-        for lo, hi in zip(pattern, pattern[1:]):
-            if hi - lo not in (Fraction(0), delta_c):
-                raise ValueError("c_pattern increments must be 0 or delta_c")
+        abscissa_grid(pattern, delta_c)  # only patterns that SLRK can step
         object.__setattr__(self, "c_pattern", pattern)
         object.__setattr__(self, "delta_c", delta_c)
 

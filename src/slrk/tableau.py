@@ -2,7 +2,9 @@
 
 Coefficients are stored as `fractions.Fraction`, so consistency checks
 (row sums, abscissa spacing) are exact integer arithmetic, never float
-comparisons. The abscissae c are always derived from row sums of a.
+comparisons. The abscissae c are always derived from row sums of a;
+``abscissa_grid`` is the one check that they are ordered and equally
+spaced, as simple Lawson stepping and the scheme search require.
 """
 
 from __future__ import annotations
@@ -160,31 +162,30 @@ BUILTIN_TABLEAUX = {
 }
 
 
-@dataclass(frozen=True)
-class SpacingReport:
-    """Whether abscissae start at 0 and advance by a single grid step.
+def abscissa_grid(c, delta_c=None) -> tuple[Fraction, tuple[int, ...]]:
+    """Grid step and propagator shifts of ordered, equally spaced abscissae.
 
-    conforming means c[0] = 0, c is non-decreasing, and every increment
-    c[i+1] - c[i] is exactly 0 or exactly delta_c. delta_c is None for
-    the degenerate case (single stage, or all increments zero) and for
-    non-conforming tableaux.
+    Walks the ends (0, c[0], ..., c[s-1], 1) of the exact abscissae c:
+    c[0] must be 0, each inner increment 0 or delta_c (by default the one
+    nonzero increment of c, so c cannot decrease), and 1 - c[s-1] a whole,
+    non-negative number of grid steps. Returns delta_c and the s+1 shifts,
+    shifts[j] = (c[j] - c[j-1]) / delta_c with shifts[0] = 0 and c[s] = 1;
+    raises ValueError for abscissae that one propagator cannot step.
     """
-
-    conforming: bool
-    delta_c: Fraction | None = None
-
-
-def spacing_report(t: Tableau) -> SpacingReport:
-    """Classify the abscissa spacing of a tableau (exact arithmetic)."""
-    c = t.c
-    if c[0] != 0:
-        return SpacingReport(conforming=False)
-    diffs = [c[i + 1] - c[i] for i in range(len(c) - 1)]
-    nonzero = sorted({d for d in diffs if d != 0})
-    if any(d < 0 for d in diffs) or len(nonzero) > 1:
-        return SpacingReport(conforming=False)
-    delta = nonzero[0] if nonzero else None
-    return SpacingReport(conforming=True, delta_c=delta)
+    steps = [hi - lo for lo, hi in zip(c, c[1:])]
+    if delta_c is None:
+        delta_c = next((d for d in steps if d), Fraction(0))
+    if c[0] != 0 or delta_c < 0 or any(d and d != delta_c for d in steps):
+        raise ValueError("simple Lawson stepping with a linear operator requires ordered, "
+                         "equally spaced abscissae")
+    if not any(steps):
+        raise ValueError("tableau has no nonzero abscissa increment, so the linear operator "
+                         "cannot be represented by a propagator; pass A=None to integrate g alone")
+    last = (1 - c[-1]) / delta_c
+    if last.denominator != 1 or last < 0:
+        raise ValueError(f"final abscissa {c[-1]} is not a whole number of grid steps "
+                         f"below 1 (delta_c = {delta_c})")
+    return delta_c, (0, *(1 if d else 0 for d in steps), int(last))
 
 
 def _parse_rational(token: str) -> Fraction:

@@ -92,14 +92,15 @@ def test_search_cli_writes_tableaux_and_summary(tmp_path, capsys):
     assert summary["converged"] >= 1
     float_tabs = list(tmp_path.glob("run_seed*_float.tab"))
     assert float_tabs
-    # float tableaux round-trip through the rational text format and are
-    # exactly spacing-conforming (row sums snapped to the prescribed grid)
-    from fractions import Fraction
-    from slrk.tableau import parse_tableau, spacing_report
+    # float tableaux round-trip through the rational text format and, with
+    # row sums snapped to the prescribed grid, step with a linear operator
+    from slrk.integrator import OdeProblem, make_plan
+    from slrk.linop import diagonal_operator
+    from slrk.tableau import parse_tableau
     parsed = parse_tableau(float_tabs[0].read_text())
     assert parsed.s == 4
-    rep = spacing_report(parsed)
-    assert rep.conforming and rep.delta_c == Fraction(1, 2)
+    problem = OdeProblem(g=lambda u: u, A=diagonal_operator(np.array([-1.0])))
+    assert make_plan(problem, parsed, 0.1).shifts == (0, 1, 0, 1, 0)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert len(manifest["seeds"]) == 6
 
@@ -114,6 +115,8 @@ def test_verify_order_out_of_range(capsys):
     (["--dc", "1/0"], "search: "),
     (["--dc", "1/2", "--max-iters", "-1"], "max_iters must be >= 0"),
     (["--dc", "1/2", "--tol", "0"], "residual_tol must be > 0"),
+    # the default pattern 0, 1/2, 1, 3/2 ends past 1, so no root would be steppable
+    (["--dc", "1/2", "--stages", "4", "--order", "2"], "final abscissa 3/2 is not a whole number"),
 ])
 def test_search_rejects_bad_config_as_usage_error(tmp_path, capsys, bad, message):
     out = tmp_path / "run"
@@ -218,6 +221,8 @@ def assert_usage_error(tmp_path, capsys, code, message):
 @pytest.mark.parametrize("bad,message", [
     (["--samples", "8"], "--samples must be >= 16"),
     (["--z2", "abc"], "--z2 expects RE or RE,IM"),
+    (["--z2", "nan"], "--z2 must be finite"),
+    (["--z2", "inf,0"], "--z2 must be finite"),
 ])
 def test_stability_rejects_bad_input_as_usage_error(tmp_path, capsys, bad, message):
     out = tmp_path / "sub" / "boundary.csv"
@@ -253,9 +258,32 @@ def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
     (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "0"], "--steps must be >= 1"),
     (["integrate", "--tableau", "rk4", "--h", "1", "--steps", "1", "--lam2", "10000,0"],
      "exp(tau*A) overflows"),
+    (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "1", "--lam1", "nan"],
+     "--lam1 must be finite"),
+    (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "1", "--lam2=-inf,0"],
+     "--lam2 must be finite"),
 ])
 def test_bad_counts_and_steps_are_usage_errors(tmp_path, capsys, args, message):
     code = main(args + ["--n", "16", "--out", str(tmp_path / "sub" / "out.csv")])
+    assert_usage_error(tmp_path, capsys, code, message)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["ns-run", "--n", "16", "--steps", "2", "--nu", "0"], "nu must be finite and positive"),
+    (["ns-run", "--n", "17", "--steps", "2"], "grid size must be a power of two"),
+    (["ns-converge", "--n", "17", "--steps", "4", "--ref", "16"],
+     "grid size must be a power of two"),
+    (["ns-converge", "--n", "16", "--steps", "4", "--ref", "16", "--nu", "nan"],
+     "nu must be finite and positive"),
+    (["ns-converge", "--n", "16", "--steps", "4", "--ref", "16", "--t", "0"],
+     "--t must be finite and positive"),
+    (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "17", "--h", "0.1",
+      "--steps", "1"], "grid size must be a power of two"),
+    (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "0",
+      "--h", "0.1", "--steps", "1"], "nu must be finite and positive"),
+])
+def test_bad_ns_flags_are_usage_errors(tmp_path, capsys, args, message):
+    code = main(args + ["--out", str(tmp_path / "sub" / "out.csv")])
     assert_usage_error(tmp_path, capsys, code, message)
 
 

@@ -91,7 +91,7 @@ def test_slrk_equals_general_lawson_oracle(make):
     # The core equivalence: one propagator with gridded abscissae reproduces
     # the stage-pair exponentials of the general process.
     tab = make()
-    rng = np.random.default_rng(hash(tab.name) % 2 ** 32)
+    rng = np.random.default_rng(100 + tab.s)  # fixed per tableau, so a failure replays
     for _ in range(10):
         n = 8
         lam = rng.uniform(-50, 0, n) + 1j * rng.uniform(-8, 8, n)

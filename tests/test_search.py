@@ -84,7 +84,9 @@ def reference_residual_batch(xs, cfg):
 
 @pytest.mark.parametrize("stages,order", [(4, 4), (7, 6), (8, 6)])
 def test_residual_batch_bitwise_matches_per_tree_reference(stages, order):
-    cfg = SearchConfig(stages=stages, target_order=order, delta_c=Fraction(1, 6))
+    # 8 uniform steps of 1/6 would end past 1, so 8 stages take rk6's pattern
+    cfg = rk6_config() if stages == 8 else SearchConfig(
+        stages=stages, target_order=order, delta_c=Fraction(1, 6))
     rng = np.random.default_rng(stages * 10 + order)
     for nbatch in (1, 2, 2 * cfg.n_unknowns):
         for scale in (1e-3, 0.5, 3.0):
@@ -171,6 +173,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(stages=3, target_order=3, delta_c=Fraction(1, 3),
                      c_pattern=(0, Fraction(1, 2), Fraction(2, 3)))
+    # patterns that simple Lawson stepping could not take
+    with pytest.raises(ValueError, match="final abscissa 2/5 is not a whole number"):
+        SearchConfig(stages=2, target_order=2, delta_c=Fraction(2, 5))
+    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
+        SearchConfig(stages=2, target_order=1, delta_c=Fraction(1, 2), c_pattern=(0, 0))
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -180,6 +187,8 @@ def test_config_validation():
     ({"max_iters": -1}, "max_iters must be >= 0"),
     ({"residual_tol": 0.0}, "residual_tol must be > 0"),
     ({"residual_tol": float("nan")}, "residual_tol must be > 0"),
+    ({"stages": 4, "target_order": 2, "delta_c": Fraction(1, 2)},
+     "final abscissa 3/2 is not a whole number"),
 ])
 def test_config_rejects_bad_iteration_settings(bad, message):
     kw = {"stages": 3, "target_order": 3, "delta_c": Fraction(1, 3), **bad}

@@ -11,13 +11,13 @@ from slrk.tableau import (
     ExplicitnessError,
     MalformedRationalError,
     Tableau,
+    abscissa_grid,
     euler_tableau,
     heun3_tableau,
     parse_tableau,
     rk4_tableau,
     rk6_tableau,
     serialize_tableau,
-    spacing_report,
 )
 
 ALL_BUILTINS = [euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau]
@@ -65,20 +65,17 @@ def test_integer_rendering_is_exact(make):
 
 
 def test_spacing_rk6():
-    rep = spacing_report(rk6_tableau())
-    assert rep.conforming
-    assert rep.delta_c == Fraction(1, 6)
+    assert abscissa_grid(rk6_tableau().c) == (Fraction(1, 6), (0, 1, 0, 1, 1, 1, 1, 1, 0))
 
 
 def test_spacing_rk4_heun3():
-    assert spacing_report(rk4_tableau()).delta_c == Fraction(1, 2)
-    assert spacing_report(heun3_tableau()).delta_c == Fraction(1, 3)
+    assert abscissa_grid(rk4_tableau().c) == (Fraction(1, 2), (0, 1, 0, 1, 0))
+    assert abscissa_grid(heun3_tableau().c) == (Fraction(1, 3), (0, 1, 1, 1))
 
 
 def test_spacing_euler_degenerate():
-    rep = spacing_report(euler_tableau())
-    assert rep.conforming
-    assert rep.delta_c is None
+    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
+        abscissa_grid(euler_tableau().c)
 
 
 def test_spacing_nonconforming():
@@ -87,9 +84,8 @@ def test_spacing_nonconforming():
         (Fraction(1, 2), 0, Fraction(1, 2)),
     )
     assert t.c == (0, Fraction(1, 4), 1)
-    rep = spacing_report(t)
-    assert not rep.conforming
-    assert rep.delta_c is None
+    with pytest.raises(ValueError, match="ordered, equally spaced abscissae"):
+        abscissa_grid(t.c)
 
 
 def test_spacing_rejects_decreasing_c():
@@ -97,7 +93,30 @@ def test_spacing_rejects_decreasing_c():
         ((Fraction(0), 0, 0), (Fraction(1, 2), 0, 0), (Fraction(1, 4), 0, 0)),
         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
     )
-    assert not spacing_report(t).conforming
+    with pytest.raises(ValueError, match="ordered, equally spaced abscissae"):
+        abscissa_grid(t.c)
+    with pytest.raises(ValueError, match="ordered, equally spaced abscissae"):
+        abscissa_grid((Fraction(0), Fraction(-1, 2)))
+
+
+def test_spacing_with_given_grid_step():
+    third = Fraction(1, 3)
+    # the final gap may span several grid steps
+    assert abscissa_grid((0, Fraction(1, 6)), Fraction(1, 6)) == (Fraction(1, 6), (0, 1, 5))
+    assert abscissa_grid((0, 0, third), third) == (third, (0, 0, 1, 2))
+    with pytest.raises(ValueError, match="ordered, equally spaced abscissae"):
+        abscissa_grid((0, Fraction(1, 2)), third)
+    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
+        abscissa_grid((0, 0), third)
+
+
+@pytest.mark.parametrize("c", [
+    (0, Fraction(1, 2), 1, Fraction(3, 2)),  # ends past 1
+    (0, Fraction(2, 5)),  # 1 - 2/5 is 3/2 grid steps
+])
+def test_spacing_rejects_off_grid_final_abscissa(c):
+    with pytest.raises(ValueError, match=f"final abscissa {c[-1]} is not a whole number"):
+        abscissa_grid(tuple(map(Fraction, c)))
 
 
 def test_explicitness_enforced_on_construction():
