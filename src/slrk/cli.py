@@ -123,6 +123,10 @@ def cmd_verify(args, run: _Run) -> int:
 
 
 def cmd_search(args, run: _Run) -> int:
+    if args.seeds < 0:
+        raise _UsageError(f"--seeds must be >= 0, got {args.seeds}")
+    if args.max_denominator < 1:
+        raise _UsageError(f"--max-denominator must be >= 1, got {args.max_denominator}")
     try:
         pattern = None  # SearchConfig's default: 0, dc, 2dc, ...
         if args.c_pattern:

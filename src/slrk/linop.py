@@ -3,8 +3,9 @@
 Two operator variants: a diagonal spectrum (cheap elementwise
 exponentials, used by the spectral benchmark) and a dense matrix
 (exponentiated by scaling-and-squaring with a degree-13 diagonal Pade
-approximant). A propagator exp(tau*A) is itself a LinearOperator of the
-same kind, applied by ``apply``.
+approximant, squared back as often as exact power norms require; see
+``expm``). A propagator exp(tau*A) is itself a LinearOperator of the same
+kind, applied by ``apply``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ _PADE13 = (
     670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
     960960.0, 16380.0, 182.0, 1.0,
 )
+_THETA13 = 5.371920351148152  # largest alpha at which Pade 13 is accurate to unit roundoff
 
 
 @dataclass(frozen=True)
@@ -60,21 +62,28 @@ def dense_operator(matrix) -> LinearOperator:
 def expm(m: np.ndarray) -> np.ndarray:
     """Dense matrix exponential, scaling-and-squaring + Pade 13.
 
-    The matrix is scaled by 2**-s so its 1-norm is at most 0.5 before
-    the rational approximant, then squared back s times.
+    m is scaled by 2**-s until alpha = min(|m|, max(|m^4|^(1/4),
+    (|m^4| |m^6|)^(1/10))) <= theta_13 (1-norms of the approximant's own
+    powers, formed unscaled), and the approximant is squared back s times:
+    Higham (SIAM J. Matrix Anal. Appl. 26, 2005) with the power bound of
+    Al-Mohy & Higham (ibid. 31, 2009), so a non-normal m is not overscaled.
     """
     m = np.asarray(m)
     n = m.shape[0]
-    norm = np.linalg.norm(m, 1) if n else 0.0
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = m / (2.0 ** squarings)
-
-    ident = np.eye(n, dtype=a.dtype if np.iscomplexobj(a) else float)
-    a2 = a @ a
+    m = m.astype(np.result_type(m, 1.0), copy=False)
+    a2 = m @ m
     a4 = a2 @ a2
     a6 = a4 @ a2
+    d1, d4, d6 = (np.linalg.norm(p, 1) if n else 0.0 for p in (m, a4, a6))
+    alpha = min(d1, max(d4 ** 0.25, (d4 * d6) ** 0.1))
+    squarings = int(np.ceil(np.log2(alpha / _THETA13))) if alpha > _THETA13 else 0
+    if squarings:  # m is rebound, never scaled in place: it may be the caller's array
+        m = m * 2.0 ** -squarings
+        for k, p in ((2, a2), (4, a4), (6, a6)):
+            p *= 2.0 ** (-k * squarings)
+    ident = np.eye(n, dtype=m.dtype if np.iscomplexobj(m) else float)
     b = _PADE13
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+    u = m @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)

@@ -84,6 +84,8 @@ class SearchConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.residual_tol > 0:
             raise ValueError(f"residual_tol must be > 0, got {self.residual_tol}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         pattern = self.c_pattern
         if pattern is None:
             pattern = uniform_c_pattern(self.stages, delta_c)

@@ -117,14 +117,16 @@ def test_verify_order_out_of_range(capsys):
     (["--dc", "1/2", "--tol", "0"], "residual_tol must be > 0"),
     # the default pattern 0, 1/2, 1, 3/2 ends past 1, so no root would be steppable
     (["--dc", "1/2", "--stages", "4", "--order", "2"], "final abscissa 3/2 is not a whole number"),
+    (["--dc", "1/2", "--seeds", "-1"], "--seeds must be >= 0"),
+    (["--dc", "1/2", "--seed", "-1"], "rng_seed must be >= 0"),
+    # rejected before the search, which would write a converged seed's tableau first
+    (["--dc", "1/2", "--max-denominator", "0"], "--max-denominator must be >= 1"),
 ])
 def test_search_rejects_bad_config_as_usage_error(tmp_path, capsys, bad, message):
     out = tmp_path / "run"
     code = main(["search", "--stages", "3", "--order", "3", "--seeds", "2",
                  "--out", str(out)] + bad)
-    assert code == 1
-    assert message in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert_usage_error(tmp_path, capsys, code, message)
 
 
 def test_integrate_scalar_json(capsys):

@@ -121,6 +121,25 @@ def test_slrk_equals_general_lawson_oracle_dense(make):
         assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("make", [rk4_tableau, rk6_tableau])
+def test_slrk_equals_eigenbasis_oracle_dense_stiff(make):
+    # The benchmark's dense_stiff check at N=64: symmetric A with a spectrum
+    # log-uniform in [-1e3, -1e-2], so exp(delta_c*h*A) needs squarings. The
+    # oracle steps in A's eigenbasis, where A is diagonal and no expm is taken.
+    tab = make()
+    rng = np.random.default_rng(64)
+    n = 64
+    lam = -(10.0 ** rng.uniform(-2.0, 3.0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = lambda v: v - v ** 3
+    u = 0.5 * rng.standard_normal(n)
+    A = dense_operator((q * lam) @ q.T)
+    fast = slrk_step(make_plan(OdeProblem(g=g, A=A), tab, 0.05), u)
+    ref = q @ lawson_step_general(tab, lambda v: q.T @ g(q @ v), diagonal_operator(lam),
+                                  q.T @ u, 0.05)
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_slrk_with_zero_operator_matches_rk_step():
     g = lambda v: np.cos(v)
     u = np.linspace(-1, 1, 7)

@@ -51,6 +51,50 @@ def test_expm_large_norm_uses_squaring():
     assert np.max(np.abs(expm(m) - want)) / np.max(np.abs(want)) <= 1e-12
 
 
+def relative_error(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+def triangular_expm(a, b, d):
+    """Closed form of exp([[a, b], [0, d]]) for a != d."""
+    return np.array([[np.exp(a), b * (np.exp(a) - np.exp(d)) / (a - d)], [0, np.exp(d)]])
+
+
+@pytest.mark.parametrize("b", [1e3, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("a,d", [(-1.0, -20.0), (0.5, -3.0), (1.0, -1.0)])
+def test_expm_non_normal_matches_closed_form(a, d, b):
+    # |m|_1 grows with b but the spectrum does not: scaling by the norm alone
+    # takes up to 35 squarings here and loses up to 4e-6 in them.
+    m = np.array([[a, b], [0.0, d]])
+    assert relative_error(expm(m), triangular_expm(a, b, d)) <= 1e-13
+
+
+def test_expm_non_normal_complex_matches_closed_form():
+    a, b, d = -1.0 + 3.0j, 1e6 * (1.0 - 2.0j), 0.5 - 2.0j
+    got = expm(np.array([[a, b], [0.0, d]]))
+    assert got.dtype == complex
+    assert relative_error(got, triangular_expm(a, b, d)) <= 1e-13
+
+
+def test_expm_of_empty_matrix():
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+    assert make_propagator(dense_operator(np.zeros((0, 0))), 1.0).data.shape == (0, 0)
+
+
+def test_expm_large_norm_symmetric_matches_eigendecomposition():
+    # A dense_stiff-like operator at N=64: spectrum log-uniform in [-1e3, -1e-2].
+    rng = np.random.default_rng(64)
+    lam = -(10.0 ** rng.uniform(-2.0, 3.0, 64))
+    q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    tau = 0.05 / 6
+    m = tau * (q * lam) @ q.T
+    assert np.max(np.abs(tau * lam)) > 5.372  # beyond theta_13: the squaring loop runs
+    before = m.copy()
+    got = expm(m)
+    assert np.array_equal(m, before)  # scaled copies only, never the caller's array
+    assert relative_error(got, (q * np.exp(tau * lam)) @ q.T) <= 1e-13
+
+
 def test_identity_at_tau_zero():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(6)
