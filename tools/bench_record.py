@@ -67,8 +67,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def bench_record(label: str, parent_dir: Path, parent_commit: str, change_dir: Path,
-                 change_commit: str, benchmark: Path = ROOT / "BENCHMARK.json") -> dict:
-    metrics = end_to_end_metrics(benchmark)
+                 change_commit: str) -> dict:
+    metrics = end_to_end_metrics(ROOT / "BENCHMARK.json")
     parent, change = load_runs(parent_dir), load_runs(change_dir)
     pairs = sorted(parent.keys() & change.keys())
     if not pairs:
