@@ -71,6 +71,10 @@ def expm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     n = m.shape[0]
     m = m.astype(np.result_type(m, 1.0), copy=False)
+    # |m^4| |m^6| <= |m|^10 is finite while |m| < 2**100; a larger m is scaled below that.
+    presquarings = max(0, int(np.frexp(np.linalg.norm(m, 1) if n else 0.0)[1]) - 100)
+    if presquarings:  # m is rebound, never scaled in place: it may be the caller's array
+        m = m * 2.0 ** -presquarings
     a2 = m @ m
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -88,7 +92,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
+    for _ in range(presquarings + squarings):
         r = r @ r
     return r
 

@@ -176,16 +176,14 @@ class ConvergenceResult:
     slopes: dict
     fit_points: dict
     floor: float
-    reference_steps: int
 
     def errors(self, scheme: str) -> dict:
         return {c.n_steps: c.linf_error for c in self.cells if c.scheme == scheme}
 
 
-def convergence_study(grid: SpectralGrid, nu: float, t_final: float,
-                      step_counts: list[int], schemes: list[Tableau] | None = None,
+def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts: list[int],
                       reference_steps: int | None = None) -> ConvergenceResult:
-    """Max pointwise error at t_final versus step count, per scheme.
+    """Max pointwise error at t_final versus step count, for rk4 and rk6.
 
     The ground truth is the sixth-order scheme run at reference_steps
     (default 4x the largest tested count; must be at least that). The
@@ -201,8 +199,7 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float,
         reference_steps = 4 * max(step_counts)
     if reference_steps < 4 * max(step_counts):
         raise ValueError("reference step count must be >= 4x the largest tested")
-    if schemes is None:
-        schemes = [rk4_tableau(), rk6_tableau()]
+    schemes = [rk4_tableau(), rk6_tableau()]
 
     w_ref = _final_vorticity(grid, nu, rk6_tableau(), t_final, reference_steps)
     ref_scale = float(np.max(np.abs(w_ref)))
@@ -236,5 +233,4 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float,
             slopes[tab.name] = float(-np.polyfit(logm, loge, 1)[0])
         else:
             slopes[tab.name] = float("nan")
-    return ConvergenceResult(cells=tuple(cells), slopes=slopes, fit_points=fit_points,
-                             floor=floor, reference_steps=reference_steps)
+    return ConvergenceResult(cells=tuple(cells), slopes=slopes, fit_points=fit_points, floor=floor)

@@ -69,7 +69,6 @@ class RegionBoundary:
     """Polyline |exp(z2)*Phi(z)| = 1, one point per ray that crosses."""
 
     points: np.ndarray
-    z2: complex
     skipped_angles: tuple[float, ...] = field(default_factory=tuple)
 
 
@@ -150,7 +149,7 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     ray = directions[crossing]
     lo = _bisect_rays(phi, z2, radii[rows], radii[rows - 1], ray.real, ray.imag)
     # lo is real, so lo * ray rounds as the scalar lo * direction does.
-    return RegionBoundary(points=lo * ray, z2=z2,
+    return RegionBoundary(points=lo * ray,
                           skipped_angles=tuple(float(t) for t in thetas[~crossing]))
 
 

@@ -1,5 +1,7 @@
 """Propagators: elementwise exponentials and the dense matrix exponential."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,23 @@ def test_expm_non_normal_complex_matches_closed_form():
 def test_expm_of_empty_matrix():
     assert expm(np.zeros((0, 0))).shape == (0, 0)
     assert make_propagator(dense_operator(np.zeros((0, 0))), 1.0).data.shape == (0, 0)
+
+
+@pytest.mark.parametrize("scale", [-1e60, -1e60 + 3e59j, -1e300])
+def test_expm_of_huge_decaying_matrix_is_exact_zero(scale):
+    # |m^4| |m^6| would overflow without the pre-scaling past |m| = 2**100.
+    m = scale * np.eye(2)
+    before = m.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm(m)
+    assert np.array_equal(m, before)
+    assert np.all(got == 0)
+
+
+def test_propagator_of_huge_decay_is_zero_operator():
+    e = make_propagator(dense_operator(-np.eye(2)), 1e60)  # used to report an overflow
+    assert e.kind == "dense" and np.all(e.data == 0)
 
 
 def test_expm_large_norm_symmetric_matches_eigendecomposition():
