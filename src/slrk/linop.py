@@ -100,11 +100,15 @@ def expm(m: np.ndarray) -> np.ndarray:
 def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
     """exp(tau * A) as an operator of A's kind: elementwise for diagonal A, expm for dense.
 
-    Raises ValueError if the exponential overflows.
+    Raises ValueError if tau or an entry of tau*A is not finite, or if the
+    exponential overflows.
     """
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(tau * A.data)):
+            raise ValueError(f"tau*A is not finite at tau = {tau:g}")
+        # tau*A is formed again, not kept: expm drops its argument once it has scaled it.
         data = np.exp(tau * A.data) if A.kind == "diagonal" else expm(tau * A.data)
     try:
         return LinearOperator(A.kind, data)  # LinearOperator rejects non-finite entries

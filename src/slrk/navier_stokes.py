@@ -9,7 +9,10 @@ advection term is evaluated pseudo-spectrally with 2/3-rule dealiasing.
 Transform convention: unnormalized forward FFT, 1/n^2 inverse (numpy's
 default), with axis 0 = x and axis 1 = y. The vorticity state is the full
 complex (n, n) coefficient array, Hermitian with a zero mean mode; the
-right-hand side reads its half spectrum and uses real transforms.
+right-hand side reads its half spectrum and takes four real transforms
+(Basdevant's advection form, exact on states inside the dealias mask; a
+state stepped from masked data stays inside it, since the right-hand side
+is zero outside the mask and the diffusion propagator is diagonal).
 """
 
 from __future__ import annotations
@@ -36,36 +39,50 @@ FORCING_WAVENUMBER = 4
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Wavenumbers and dealias mask for an n-by-n periodic grid, plus on rfft2's
-    half grid (columns 0..n/2) 1/k^2 (0 at the mean mode) and i*kx, i*ky (0 on
-    the Nyquist row and column, where a real field's odd derivative vanishes)."""
+    """Wavenumbers for an n-by-n periodic grid, plus on rfft2's half grid
+    (columns 0..n/2) 1/k^2 (0 at the mean mode), i*kx and i*ky (0 on the
+    Nyquist row and column, where a real field's odd derivative vanishes) and
+    the advection symbols (ky^2 - kx^2) and kx*ky with the dealias mask folded in."""
 
     n: int
     kx: np.ndarray
     ky: np.ndarray
-    dealias_mask: np.ndarray
     inv_k_squared_half: np.ndarray
     ikx: np.ndarray
     iky_half: np.ndarray
+    ky2_minus_kx2_half: np.ndarray
+    kx_ky_half: np.ndarray
 
     @property
     def k_squared(self) -> np.ndarray:
         return self.kx[:, :1] ** 2 + self.ky[:1] ** 2  # kx varies along axis 0, ky along 1
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        """The 2/3 rule: True where |kx| and |ky| are both at most n/3."""
+        kept = np.abs(self.kx[:, 0]) <= self.n / 3
+        return kept[:, None] & kept
 
 
 def make_grid(n: int) -> SpectralGrid:
     """Build the grid; n must be a power of two, at least 16."""
     if n < 16 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+    m, kmax = n // 2 + 1, n // 3  # the 2/3 rule keeps |kx|, |ky| <= n/3
     k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    kept = np.abs(k) <= n / 3
-    k2_half = np.square(k, dtype=float)[:, None] + np.square(k[:n // 2 + 1], dtype=float)
+    kf = k.astype(float)
+    k2 = np.square(kf)
+    k2_half = np.add.outer(k2, k2[:m])
     k2_half[0, 0] = np.inf  # 1/k^2 is 0 on the mean mode
     ik = np.where(np.arange(n) == n // 2, 0, 1j * k)
+    kx_ky, ky2_minus_kx2 = np.outer(kf, kf[:m]), np.add.outer(-k2, k2[:m])
+    for symbol in (kx_ky, ky2_minus_kx2):  # zero the rows and columns the 2/3 rule drops
+        symbol[kmax + 1:n - kmax] = 0.0
+        symbol[:, kmax + 1:] = 0.0
     return SpectralGrid(
         n=n, kx=np.broadcast_to(k[:, None], (n, n)), ky=np.broadcast_to(k, (n, n)),
-        dealias_mask=kept[:, None] & kept, ikx=ik[:, None], iky_half=ik[:n // 2 + 1],
-        inv_k_squared_half=np.divide(1.0, k2_half, out=k2_half))
+        ikx=ik[:, None], iky_half=ik[:m], inv_k_squared_half=np.divide(1.0, k2_half, out=k2_half),
+        ky2_minus_kx2_half=ky2_minus_kx2, kx_ky_half=kx_ky)
 
 
 def initial_condition(grid: SpectralGrid) -> np.ndarray:
@@ -106,24 +123,33 @@ def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
                   include_forcing: bool = True) -> np.ndarray:
     """Advection plus forcing in spectral space: -FFT(u . grad omega) + f_hat.
 
-    The streamfunction solves lap(psi) = -omega, the velocity is
-    (d psi/dy, -d psi/dx), and the quadratic product is formed in
-    physical space then dealiased. Only the input's half spectrum is read,
-    with real transforms; the output is its exactly Hermitian extension.
+    The streamfunction solves lap(psi) = -omega and the velocity is
+    (u, v) = (d psi/dy, -d psi/dx). Advection takes Basdevant's
+    four-transform form (J. Comput. Phys. 50, 1983),
+    u . grad omega = (dx^2 - dy^2)(uv) + dx dy (v^2 - u^2), so the
+    result is (ky^2 - kx^2) FFT(u (-v)) + kx ky FFT((-v)^2 - u^2), dealiased
+    by the symbols' folded-in 2/3 mask: two inverse and two forward real
+    transforms. Only the input's half spectrum is read; the output is its
+    exactly Hermitian extension.
+
+    The form relies on the product rule, which holds discretely only when
+    the products alias onto no kept mode. So it equals the five-transform
+    u . grad omega (to rounding) when the input is supported inside the
+    dealias mask, as every state stepped from masked initial data is; on a
+    state populated outside the mask the two differ at order 1.
     """
     n, m = grid.n, grid.n // 2 + 1
-    w_half, ikx, iky = omega_hat[:, :m], grid.ikx, grid.iky_half
     out = np.empty((n, n), dtype=complex)
     half = out[:, :m]
 
     # Overflow here just means blow-up; the stepper's finite check on the slope raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = w_half * grid.inv_k_squared_half
-        # Four calls: one batched (4, n, n/2+1) irfft2 gives the same bits, but its
-        # 0.5 MB temporaries churn glibc's heap (5x the page faults per step at n=128).
-        u, minus_v, wx, wy = (np.fft.irfft2(f, s=(n, n)) for f in
-                              (iky * psi, ikx * psi, ikx * w_half, iky * w_half))
-        np.multiply(np.fft.rfft2(minus_v * wy - u * wx), grid.dealias_mask[:, :m], out=half)
+        psi = omega_hat[:, :m] * grid.inv_k_squared_half
+        u, minus_v = (np.fft.irfft2(f, s=(n, n)) for f in (grid.iky_half * psi, grid.ikx * psi))
+        uv_hat = np.fft.rfft2(u * minus_v)
+        np.multiply(np.fft.rfft2((minus_v - u) * (minus_v + u)), grid.kx_ky_half, out=half)
+        uv_hat *= grid.ky2_minus_kx2_half
+        half += uv_hat
     if include_forcing:
         half[0, FORCING_WAVENUMBER] += _forcing_coefficient(n)
     rev = (-np.arange(n)) % n

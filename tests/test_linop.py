@@ -100,6 +100,16 @@ def test_propagator_of_huge_decay_is_zero_operator():
     assert e.kind == "dense" and np.all(e.data == 0)
 
 
+@pytest.mark.parametrize("A", [dense_operator(-np.eye(2) * 1e300),
+                               diagonal_operator(np.array([-1e300, -1.0]))])
+def test_propagator_rejects_non_finite_tau_a(A):
+    # tau*A overflows to -inf, for dense and diagonal A alike.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^tau\*A is not finite at tau = 1e\+300$"):
+            make_propagator(A, 1e300)
+
+
 def test_expm_large_norm_symmetric_matches_eigendecomposition():
     # A dense_stiff-like operator at N=64: spectrum log-uniform in [-1e3, -1e-2].
     rng = np.random.default_rng(64)

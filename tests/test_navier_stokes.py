@@ -37,6 +37,29 @@ def random_hermitian_state(n, rng):
     return 0.5 * (z + reflected_conjugate(z))
 
 
+def random_masked_state(grid, rng):
+    """Hermitian coefficients on every mode inside the dealias mask, zero outside."""
+    return random_hermitian_state(grid.n, rng) * grid.dealias_mask
+
+
+def five_transform_rhs(grid, omega_hat, include_forcing=True):
+    """The 0.7.0 real-FFT right-hand side, -(u wx + v wy) from five real transforms;
+    kept as the second oracle."""
+    n, m = grid.n, grid.n // 2 + 1
+    w_half, ikx, iky = omega_hat[:, :m], grid.ikx, grid.iky_half
+    psi = w_half * grid.inv_k_squared_half
+    u, minus_v, wx, wy = (np.fft.irfft2(f, s=(n, n)) for f in
+                          (iky * psi, ikx * psi, ikx * w_half, iky * w_half))
+    half = np.fft.rfft2(minus_v * wy - u * wx) * grid.dealias_mask[:, :m]
+    if include_forcing:
+        half += ns.forcing_spectrum(grid)[:, :m]
+    rev = (-np.arange(n)) % n
+    out = np.concatenate([half, np.conj(half[rev, m - 2:0:-1])], axis=1)
+    out = 0.5 * (out + reflected_conjugate(out))
+    out[0, 0] = 0.0
+    return out
+
+
 def full_fft_rhs(grid, omega_hat, include_forcing=True):
     """The original full complex-FFT right-hand side, kept as the oracle."""
     kx, ky = grid.kx, grid.ky
@@ -170,18 +193,44 @@ def test_rhs_preserves_hermitian_symmetry_and_zero_mean():
 @pytest.mark.parametrize("n", [16, 32, 128])
 @pytest.mark.parametrize("include_forcing", [True, False])
 def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
+    # Basdevant's form equals u . grad omega only on states inside the dealias mask.
     grid = ns.make_grid(n)
     rng = np.random.default_rng(n)
     for _ in range(3):
-        w = random_hermitian_state(n, rng)
+        w = random_masked_state(grid, rng)
         before = w.copy()
         got = ns.nonlinear_rhs(grid, w, include_forcing=include_forcing)
-        want = full_fft_rhs(grid, w, include_forcing=include_forcing)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for oracle in (full_fft_rhs, five_transform_rhs):
+            want = oracle(grid, w, include_forcing=include_forcing)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # exactly Hermitian with a zero mean by construction; input untouched
         assert np.array_equal(got, reflected_conjugate(got))
         assert got[0, 0] == 0
         assert np.array_equal(w, before)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("tableau", [rk4_tableau, rk6_tableau])
+def test_stepping_keeps_modes_outside_the_mask_zero(n, tableau):
+    # The premise of Basdevant's form: stepped states stay inside the dealias mask.
+    grid = ns.make_grid(n)
+    plan = make_plan(ns.make_problem(grid, 1e-2), tableau(), 0.01)
+    w0 = ns.initial_condition(grid)
+    band = random_masked_state(grid, np.random.default_rng(n))
+    for w in (w0, band * (np.linalg.norm(w0) / np.linalg.norm(band))):
+        assert np.all(w[~grid.dealias_mask] == 0)
+        for _ in range(5):
+            w = slrk_step(plan, w)
+        assert np.all(np.isfinite(w))
+        assert np.all(w[~grid.dealias_mask] == 0)
+
+
+def test_initial_condition_lies_outside_the_mask_at_n16():
+    # ky = 6 > 16/3, so n = 16 runs step a state the four-transform form is not exact on.
+    grid = ns.make_grid(16)
+    w = ns.initial_condition(grid)
+    assert w[5, 6] != 0 and not grid.dealias_mask[5, 6]
+    assert np.array_equal(np.argwhere(w * ~grid.dealias_mask), [[5, 6], [11, 10]])
 
 
 def test_step_rejects_non_finite_state_at_stage_1():
