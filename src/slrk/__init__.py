@@ -66,4 +66,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -67,12 +67,16 @@ def expm(m: np.ndarray) -> np.ndarray:
     powers, formed unscaled), and the approximant is squared back s times:
     Higham (SIAM J. Matrix Anal. Appl. 26, 2005) with the power bound of
     Al-Mohy & Higham (ibid. 31, 2009), so a non-normal m is not overscaled.
+    Raises ValueError if |m| is not finite, which it can be when every entry is.
     """
     m = np.asarray(m)
     n = m.shape[0]
     m = m.astype(np.result_type(m, 1.0), copy=False)
+    norm = np.linalg.norm(m, 1) if n else 0.0
+    if not np.isfinite(norm):
+        raise ValueError("the matrix's 1-norm is not finite")
     # |m^4| |m^6| <= |m|^10 is finite while |m| < 2**100; a larger m is scaled below that.
-    presquarings = max(0, int(np.frexp(np.linalg.norm(m, 1) if n else 0.0)[1]) - 100)
+    presquarings = max(0, int(np.frexp(norm)[1]) - 100)
     if presquarings:  # m is rebound, never scaled in place: it may be the caller's array
         m = m * 2.0 ** -presquarings
     a2 = m @ m
@@ -100,8 +104,8 @@ def expm(m: np.ndarray) -> np.ndarray:
 def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
     """exp(tau * A) as an operator of A's kind: elementwise for diagonal A, expm for dense.
 
-    Raises ValueError if tau or an entry of tau*A is not finite, or if the
-    exponential overflows.
+    Raises ValueError if tau, an entry of tau*A or (dense A) the 1-norm of
+    tau*A is not finite, or if the exponential overflows.
     """
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
@@ -109,7 +113,10 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
         if not np.all(np.isfinite(tau * A.data)):
             raise ValueError(f"tau*A is not finite at tau = {tau:g}")
         # tau*A is formed again, not kept: expm drops its argument once it has scaled it.
-        data = np.exp(tau * A.data) if A.kind == "diagonal" else expm(tau * A.data)
+        try:
+            data = np.exp(tau * A.data) if A.kind == "diagonal" else expm(tau * A.data)
+        except ValueError:  # expm's: finite entries whose column sums overflow
+            raise ValueError(f"the 1-norm of tau*A is not finite at tau = {tau:g}") from None
     try:
         return LinearOperator(A.kind, data)  # LinearOperator rejects non-finite entries
     except ValueError:

@@ -9,10 +9,11 @@ advection term is evaluated pseudo-spectrally with 2/3-rule dealiasing.
 Transform convention: unnormalized forward FFT, 1/n^2 inverse (numpy's
 default), with axis 0 = x and axis 1 = y. The vorticity state is the full
 complex (n, n) coefficient array, Hermitian with a zero mean mode; the
-right-hand side reads its half spectrum and takes four real transforms
-(Basdevant's advection form, exact on states inside the dealias mask; a
-state stepped from masked data stays inside it, since the right-hand side
-is zero outside the mask and the diffusion propagator is diagonal).
+right-hand side reads only the columns 0..n/3 that the 2/3 rule keeps and
+takes four real transforms of them (Basdevant's advection form, exact on
+states inside the dealias mask). The initial data lie inside the mask, and
+a stepped state stays inside it, since the right-hand side is zero outside
+the mask and the diffusion propagator is diagonal.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ FORCING_WAVENUMBER = 4
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Wavenumbers for an n-by-n periodic grid, plus on rfft2's half grid
-    (columns 0..n/2) 1/k^2 (0 at the mean mode), i*kx and i*ky (0 on the
-    Nyquist row and column, where a real field's odd derivative vanishes) and
-    the advection symbols (ky^2 - kx^2) and kx*ky with the dealias mask folded in."""
+    """Wavenumbers for an n-by-n periodic grid, plus what the right-hand side
+    multiplies by: i*kx as a column (0 on the Nyquist row, where a real
+    field's odd derivative vanishes), and on the columns 0..n/3 of rfft2's
+    half grid that the 2/3 rule keeps, 1/k^2 (0 at the mean mode), i*ky and
+    the advection symbols (ky^2 - kx^2) and kx*ky with the rows the rule
+    drops zeroed."""
 
     n: int
     kx: np.ndarray
@@ -68,32 +71,36 @@ def make_grid(n: int) -> SpectralGrid:
     """Build the grid; n must be a power of two, at least 16."""
     if n < 16 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
-    m, kmax = n // 2 + 1, n // 3  # the 2/3 rule keeps |kx|, |ky| <= n/3
+    kept = n // 3 + 1  # the 2/3 rule keeps |kx|, |ky| <= n/3: half-grid columns 0..kept-1
     k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     kf = k.astype(float)
     k2 = np.square(kf)
-    k2_half = np.add.outer(k2, k2[:m])
-    k2_half[0, 0] = np.inf  # 1/k^2 is 0 on the mean mode
+    k2_kept = np.add.outer(k2, k2[:kept])
+    k2_kept[0, 0] = np.inf  # 1/k^2 is 0 on the mean mode
     ik = np.where(np.arange(n) == n // 2, 0, 1j * k)
-    kx_ky, ky2_minus_kx2 = np.outer(kf, kf[:m]), np.add.outer(-k2, k2[:m])
-    for symbol in (kx_ky, ky2_minus_kx2):  # zero the rows and columns the 2/3 rule drops
-        symbol[kmax + 1:n - kmax] = 0.0
-        symbol[:, kmax + 1:] = 0.0
+    kx_ky, ky2_minus_kx2 = np.outer(kf, kf[:kept]), np.add.outer(-k2, k2[:kept])
+    for symbol in (kx_ky, ky2_minus_kx2):  # zero the rows the 2/3 rule drops
+        symbol[kept:n - kept + 1] = 0.0
     return SpectralGrid(
         n=n, kx=np.broadcast_to(k[:, None], (n, n)), ky=np.broadcast_to(k, (n, n)),
-        ikx=ik[:, None], iky_half=ik[:m], inv_k_squared_half=np.divide(1.0, k2_half, out=k2_half),
+        ikx=ik[:, None], iky_half=ik[:kept],
+        inv_k_squared_half=np.divide(1.0, k2_kept, out=k2_kept),
         ky2_minus_kx2_half=ky2_minus_kx2, kx_ky_half=kx_ky)
 
 
 def initial_condition(grid: SpectralGrid) -> np.ndarray:
     """Spectral coefficients of the analytic initial vorticity.
 
-    Exactly four conjugate mode pairs are populated; every coefficient is
-    amp * n^2 * exp(i*phase) / (2i) for sines (over 2 for cosines).
+    Every coefficient is amp * n^2 * exp(i*phase) / (2i) for sines (over 2
+    for cosines). A mode outside the 2/3 dealias mask is left out, so the
+    data satisfy the right-hand side's premise: (5, 6) at n = 16; at n >= 32
+    all four conjugate mode pairs are populated.
     """
-    n = grid.n
+    n, inside = grid.n, grid.dealias_mask
     w_hat = np.zeros((n, n), dtype=complex)
     for amp, kx, ky, phase, is_sine in _INITIAL_MODES:
+        if not inside[kx % n, ky % n]:
+            continue
         coeff = amp * n * n * np.exp(1j * phase)
         coeff = coeff / 2j if is_sine else coeff / 2
         w_hat[kx % n, ky % n] += coeff
@@ -128,9 +135,16 @@ def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
     four-transform form (J. Comput. Phys. 50, 1983),
     u . grad omega = (dx^2 - dy^2)(uv) + dx dy (v^2 - u^2), so the
     result is (ky^2 - kx^2) FFT(u (-v)) + kx ky FFT((-v)^2 - u^2), dealiased
-    by the symbols' folded-in 2/3 mask: two inverse and two forward real
-    transforms. Only the input's half spectrum is read; the output is its
-    exactly Hermitian extension.
+    by the symbols' zeroed rows: two inverse and two forward real transforms.
+
+    Only the input's columns 0..n/3 are read, since the 2/3 rule (Orszag,
+    J. Atmos. Sci. 28, 1971) zeroes the result's other columns. Each
+    2-D real transform is numpy's own axis-by-axis order with the dropped
+    columns' pass skipped: ifft down the kept columns, then irfft along
+    rows (which pads the dropped columns with zeros); rfft along rows,
+    then fft down the kept columns. So every kept coefficient equals the
+    irfft2/rfft2 result bit for bit. The output is the exactly Hermitian
+    extension of those columns, and +0.0 in every column whose |ky| > n/3.
 
     The form relies on the product rule, which holds discretely only when
     the products alias onto no kept mode. So it equals the five-transform
@@ -138,23 +152,26 @@ def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
     dealias mask, as every state stepped from masked initial data is; on a
     state populated outside the mask the two differ at order 1.
     """
-    n, m = grid.n, grid.n // 2 + 1
+    n, kept = grid.n, grid.kx_ky_half.shape[1]  # the columns 0..n/3 the 2/3 rule keeps
     out = np.empty((n, n), dtype=complex)
-    half = out[:, :m]
+    half = out[:, :kept]
 
     # Overflow here just means blow-up; the stepper's finite check on the slope raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = omega_hat[:, :m] * grid.inv_k_squared_half
-        u, minus_v = (np.fft.irfft2(f, s=(n, n)) for f in (grid.iky_half * psi, grid.ikx * psi))
-        uv_hat = np.fft.rfft2(u * minus_v)
-        np.multiply(np.fft.rfft2((minus_v - u) * (minus_v + u)), grid.kx_ky_half, out=half)
+        psi = omega_hat[:, :kept] * grid.inv_k_squared_half
+        u, minus_v = (np.fft.irfft(np.fft.ifft(f, axis=0), n=n, axis=1)
+                      for f in (grid.iky_half * psi, grid.ikx * psi))
+        uv_hat = np.fft.fft(np.fft.rfft(u * minus_v, axis=1)[:, :kept], axis=0)
+        v2_u2 = np.fft.rfft((minus_v - u) * (minus_v + u), axis=1)[:, :kept]
+        np.multiply(np.fft.fft(v2_u2, axis=0), grid.kx_ky_half, out=half)
         uv_hat *= grid.ky2_minus_kx2_half
         half += uv_hat
     if include_forcing:
         half[0, FORCING_WAVENUMBER] += _forcing_coefficient(n)
     rev = (-np.arange(n)) % n
-    out[:, m:] = np.conj(half[rev, m - 2:0:-1])
-    out[:, ::n // 2] = 0.5 * (out[:, ::n // 2] + np.conj(out[rev, ::n // 2]))  # columns 0, n/2
+    out[:, kept:n - kept + 1] = 0.0
+    out[:, n - kept + 1:] = np.conj(half[rev, kept - 1:0:-1])
+    out[:, 0] = 0.5 * (out[:, 0] + np.conj(out[rev, 0]))
     out[0, 0] = 0.0
     return out
 

@@ -110,6 +110,15 @@ def test_propagator_rejects_non_finite_tau_a(A):
             make_propagator(A, 1e300)
 
 
+def test_propagator_rejects_tau_a_whose_norm_overflows():
+    # Every entry is finite, but the first column's 1-norm is 2e308.
+    A = dense_operator([[-1e308, 0.0], [-1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the 1-norm of tau\*A is not finite at tau = 1$"):
+            make_propagator(A, 1.0)
+
+
 def test_expm_large_norm_symmetric_matches_eigendecomposition():
     # A dense_stiff-like operator at N=64: spectrum log-uniform in [-1e3, -1e-2].
     rng = np.random.default_rng(64)

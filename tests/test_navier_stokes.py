@@ -42,12 +42,46 @@ def random_masked_state(grid, rng):
     return random_hermitian_state(grid.n, rng) * grid.dealias_mask
 
 
+def half_grid_symbols(grid):
+    """1/k^2 (0 at the mean mode), i*kx and i*ky (0 on the Nyquist row and
+    column) on rfft2's whole half grid, built from grid.kx and grid.ky alone."""
+    n, m = grid.n, grid.n // 2 + 1
+    kx, ky = grid.kx[:, :m], grid.ky[:, :m]
+    k2 = (kx ** 2 + ky ** 2).astype(float)
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
+    ikx = np.where(np.abs(kx) == n // 2, 0, 1j * kx)
+    iky = np.where(np.abs(ky) == n // 2, 0, 1j * ky)
+    return inv_k2, ikx, iky
+
+
+def rfft2_rhs(grid, omega_hat, include_forcing=True):
+    """The 0.8.0 right-hand side: the same four-transform form through irfft2
+    and rfft2 on the whole half grid, dealiased by masked symbols; kept as the
+    bitwise reference."""
+    n, m = grid.n, grid.n // 2 + 1
+    inv_k2, ikx, iky = half_grid_symbols(grid)
+    kx, ky = grid.kx[:, :m].astype(float), grid.ky[:, :m].astype(float)
+    mask = grid.dealias_mask[:, :m]
+    psi = omega_hat[:, :m] * inv_k2
+    u, minus_v = (np.fft.irfft2(f, s=(n, n)) for f in (iky * psi, ikx * psi))
+    half = np.fft.rfft2((minus_v - u) * (minus_v + u)) * np.where(mask, kx * ky, 0.0)
+    half += np.fft.rfft2(u * minus_v) * np.where(mask, ky ** 2 - kx ** 2, 0.0)
+    if include_forcing:
+        half[0, ns.FORCING_WAVENUMBER] += ns.forcing_spectrum(grid)[0, ns.FORCING_WAVENUMBER]
+    rev = (-np.arange(n)) % n
+    out = np.concatenate([half, np.conj(half[rev, m - 2:0:-1])], axis=1)
+    out[:, ::n // 2] = 0.5 * (out[:, ::n // 2] + np.conj(out[rev, ::n // 2]))
+    out[0, 0] = 0.0
+    return out
+
+
 def five_transform_rhs(grid, omega_hat, include_forcing=True):
     """The 0.7.0 real-FFT right-hand side, -(u wx + v wy) from five real transforms;
     kept as the second oracle."""
     n, m = grid.n, grid.n // 2 + 1
-    w_half, ikx, iky = omega_hat[:, :m], grid.ikx, grid.iky_half
-    psi = w_half * grid.inv_k_squared_half
+    inv_k2, ikx, iky = half_grid_symbols(grid)
+    w_half = omega_hat[:, :m]
+    psi = w_half * inv_k2
     u, minus_v, wx, wy = (np.fft.irfft2(f, s=(n, n)) for f in
                           (iky * psi, ikx * psi, ikx * w_half, iky * w_half))
     half = np.fft.rfft2(minus_v * wy - u * wx) * grid.dealias_mask[:, :m]
@@ -209,6 +243,30 @@ def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
         assert np.array_equal(w, before)
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("include_forcing", [True, False])
+def test_rhs_equals_the_rfft2_composition_bit_for_bit(n, include_forcing):
+    # Skipping the dropped columns' first or last pass leaves numpy's per-column arithmetic alone.
+    grid = ns.make_grid(n)
+    rng = np.random.default_rng(n + 1)
+    for _ in range(3):
+        w = random_masked_state(grid, rng)
+        got = ns.nonlinear_rhs(grid, w, include_forcing=include_forcing)
+        assert np.array_equal(got, rfft2_rhs(grid, w, include_forcing=include_forcing))
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_rhs_ignores_and_zeroes_the_columns_the_mask_drops(n):
+    grid = ns.make_grid(n)
+    rng = np.random.default_rng(n + 2)
+    w = random_hermitian_state(n, rng)
+    got = ns.nonlinear_rhs(grid, w)
+    assert np.all(got[~grid.dealias_mask] == 0)
+    dropped = np.abs(grid.ky) > n / 3
+    other = np.where(dropped, random_hermitian_state(n, rng), w)
+    assert np.array_equal(ns.nonlinear_rhs(grid, other), got)
+
+
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize("tableau", [rk4_tableau, rk6_tableau])
 def test_stepping_keeps_modes_outside_the_mask_zero(n, tableau):
@@ -225,12 +283,14 @@ def test_stepping_keeps_modes_outside_the_mask_zero(n, tableau):
         assert np.all(w[~grid.dealias_mask] == 0)
 
 
-def test_initial_condition_lies_outside_the_mask_at_n16():
-    # ky = 6 > 16/3, so n = 16 runs step a state the four-transform form is not exact on.
-    grid = ns.make_grid(16)
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_initial_condition_lies_inside_the_mask(n):
+    # The right-hand side reads no mode outside the mask; at n = 16 the (5, 6) pair
+    # lies outside it (6 > 16/3) and is left out of the data.
+    grid = ns.make_grid(n)
     w = ns.initial_condition(grid)
-    assert w[5, 6] != 0 and not grid.dealias_mask[5, 6]
-    assert np.array_equal(np.argwhere(w * ~grid.dealias_mask), [[5, 6], [11, 10]])
+    assert np.all(w[~grid.dealias_mask] == 0)
+    assert np.count_nonzero(w) == (6 if n == 16 else 8)
 
 
 def test_step_rejects_non_finite_state_at_stage_1():
