@@ -5,9 +5,12 @@ Two steppers:
 * ``slrk_step``: simple Lawson stepping for tableaux whose abscissae are
   ordered and equally spaced, so a single precomputed propagator
   exp(delta_c * h * A) suffices. The step is one loop over the rows of a
-  and then b, each preceded by as many propagator applications to the
-  state and the stored slopes as the abscissa (c_s extended by 1)
-  advances in grid steps. Without A it is the classical explicit
+  and then b, each preceded by as many propagator applications as the
+  abscissa (c_s extended by 1) advances in grid steps. The state and the
+  stored slopes are rows of one stack, so each application is one call
+  on its live rows (one broadcast multiply for diagonal A, one matrix
+  product for dense A), and the stage sums are formed in place in
+  buffers the plan keeps. Without A it is the classical explicit
   Runge-Kutta step, for any tableau.
 * ``lawson_step_general``: the integrating-factor form with one
   exponential per stage pair, for diagonal or dense A. Reference
@@ -18,7 +21,7 @@ Two steppers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,6 +50,10 @@ class StepPlan:
     j is formed, the state and the stored slopes are propagated
     ``shifts[j]`` times by ``propagator`` = exp(delta_c*h*A); all shifts
     are 0 without A.
+
+    ``slrk_step`` works in buffers that the plan allocates once per state
+    shape and dtype, so a plan is not re-entrant or thread-safe: it must
+    not step two states at once.
     """
 
     problem: OdeProblem
@@ -54,6 +61,7 @@ class StepPlan:
     propagator: LinearOperator | None
     weights: np.ndarray
     shifts: tuple[int, ...]
+    _workspaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
@@ -76,39 +84,56 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
                     weights=np.vstack([a, b]), shifts=shifts)
 
 
-def _slope(plan: StepPlan, u: np.ndarray, stage: int) -> np.ndarray:
-    k = plan.h * np.asarray(plan.problem.g(u))
-    if not np.all(np.isfinite(k)):
-        raise NonFiniteStateError(f"non-finite slope at stage {stage + 1}")
-    return k
+def _workspace(plan: StepPlan, u: np.ndarray):
+    """The plan's (propagator, buffers) for states of u's shape and dtype, built on first use.
+
+    The buffers are one array of s+2 state-sized rows: the propagated state
+    in row 0, slope k_m in row m+1, and a scratch row for one stage-sum term.
+    Their dtype is u's promoted with the propagator's, to which the
+    propagator is cast once, so applying it casts nothing per step.
+    """
+    key = (u.shape, u.dtype)
+    if key not in plan._workspaces:
+        e, dtype = plan.propagator, np.result_type(u, 1.0)
+        if e is not None:
+            want = e.data.shape if e.kind == "diagonal" else e.data.shape[:1]
+            if u.shape != want:
+                raise ValueError(f"state shape {u.shape} does not fit the {e.kind} "
+                                 f"operator of shape {e.data.shape}")
+            dtype = np.result_type(dtype, e.data)
+            e = LinearOperator(e.kind, e.data.astype(dtype, copy=False))
+        plan._workspaces[key] = (e, np.empty((len(plan.shifts) + 1,) + u.shape, dtype))
+    return plan._workspaces[key]
 
 
 def slrk_step(plan: StepPlan, u: np.ndarray) -> np.ndarray:
     """One simple Lawson Runge-Kutta step (classical explicit RK when A is absent).
 
     Rows 0..s-1 of the weights give the stage values, whose slopes are
-    stored; row s gives the result.
+    stored; row s gives the result, a fresh array. u is not written to.
     """
-    e, s = plan.propagator, len(plan.shifts) - 1
-    k = []
+    u = np.asarray(u)
+    e, x = _workspace(plan, u)
+    s = len(plan.shifts) - 1
+    term = x[s + 1]
+    x[0] = u
     for j, (shift, row) in enumerate(zip(plan.shifts, plan.weights)):
-        for _ in range(shift):
-            u = apply(e, u)
-            for m in range(j):
-                k[m] = apply(e, k[m])
-        stage = u
-        for w, km in zip(row, k):
-            if w != 0.0:
-                stage = stage + w * km
+        for _ in range(shift):  # the state and the j stored slopes, in one call
+            apply(e, x[:j + 1], out=x[:j + 1])
+        # A stage is summed in the row its slope then overwrites; the result in a fresh array.
+        stage = x[j + 1] if j < s else np.empty_like(term)
+        acc = x[0]
+        for m in range(j):
+            if row[m] != 0.0:
+                np.multiply(row[m], x[m + 1], out=term)
+                acc = np.add(acc, term, out=stage)
         if j < s:
-            k.append(_slope(plan, stage, j))
-            # Free the stage value before the next row allocates: on the n=128 NS
-            # benchmark this keeps glibc from trimming the heap top that the next
-            # stage faults back in (0 minor faults per step with it, 128 without).
-            del stage
-    if not np.all(np.isfinite(stage)):
+            k = np.multiply(plan.h, plan.problem.g(acc), out=x[j + 1])
+            if not np.all(np.isfinite(k)):
+                raise NonFiniteStateError(f"non-finite slope at stage {j + 1}")
+    if not np.all(np.isfinite(acc)):
         raise NonFiniteStateError("non-finite state after step")
-    return stage
+    return acc if acc is stage else acc.copy()
 
 
 def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
@@ -139,10 +164,16 @@ def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
 
 
 def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Step n_steps times from u0; returns the final state."""
+    """Step n_steps times from u0; returns the final state.
+
+    A NonFiniteStateError names the step (from 1) and the time it was to reach.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     u = np.asarray(u0)
-    for _ in range(n_steps):
-        u = slrk_step(plan, u)
+    for step in range(1, n_steps + 1):
+        try:
+            u = slrk_step(plan, u)
+        except NonFiniteStateError as err:
+            raise NonFiniteStateError(f"{err} in step {step}, t = {step * plan.h:g}") from err
     return u

@@ -123,13 +123,19 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
         raise ValueError(f"exp(tau*A) overflows at tau = {tau:g}") from None
 
 
-def apply(e: LinearOperator, v: np.ndarray) -> np.ndarray:
-    """Apply an operator (typically a propagator) to a state vector or grid-shaped state."""
+def apply(e: LinearOperator, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply an operator (typically a propagator) to a state, or to a stack of states.
+
+    The state's trailing dimensions are the spectrum's shape (diagonal) or
+    (N,) (dense); leading ones stack states, which a dense operator
+    multiplies in one product, v @ E.T. ``out`` receives the result and
+    may be v itself.
+    """
     v = np.asarray(v)
     if e.kind == "diagonal":
-        if v.shape != e.data.shape:
+        if v.shape[v.ndim - e.data.ndim:] != e.data.shape:
             raise ValueError(f"state shape {v.shape} != spectrum shape {e.data.shape}")
-        return e.data * v
-    if v.shape != (e.data.shape[0],):
+        return np.multiply(e.data, v, out=out)
+    if v.shape[-1:] != e.data.shape[:1]:
         raise ValueError(f"state shape {v.shape} incompatible with {e.data.shape} propagator")
-    return e.data @ v
+    return np.matmul(e.data, v, out=out) if v.ndim == 1 else np.matmul(v, e.data.T, out=out)

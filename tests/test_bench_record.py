@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_record)
@@ -98,3 +99,21 @@ def test_no_pairs_is_an_error(tmp_path, capsys):
     assert code == 1
     assert "no workload and seed" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_none.json").exists()
+
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_exist():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_committed_bench_file_records_every_end_to_end_metric(path):
+    record = json.loads(path.read_text())
+    assert record["label"] == path.stem.removeprefix("BENCH_")
+    metrics = [name for name, _ in bench_record.end_to_end_metrics(ROOT / "BENCHMARK.json")]
+    assert record["workloads"]
+    for workload, entry in record["workloads"].items():
+        missing = [m for m in metrics if m not in entry["metrics"]]
+        assert not missing, f"{workload} lacks {missing}"

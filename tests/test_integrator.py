@@ -1,11 +1,13 @@
 """Steppers: classical RK, general Lawson oracle, simple Lawson equivalence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import slrk.integrator as integrator
+from slrk import navier_stokes as ns
 from slrk.integrator import (
     NonFiniteStateError,
     OdeProblem,
@@ -151,31 +153,35 @@ def test_slrk_with_zero_operator_matches_rk_step():
 
 
 def count_propagator_applications(plan, u):
-    """Run one step with apply() instrumented; returns the call count."""
+    """Run one step with apply() instrumented; returns (apply calls, states applied to).
+
+    slrk_step applies the propagator to the live rows of its stack in one
+    call, so each call's states are the rows of its argument.
+    """
     real_apply = integrator.apply
     calls = []
 
-    def tracking_apply(e, v):
-        calls.append(v)
-        return real_apply(e, v)
+    def tracking_apply(e, v, **kwargs):
+        calls.append(np.shape(v)[0])
+        return real_apply(e, v, **kwargs)
 
     integrator.apply = tracking_apply
     try:
         slrk_step(plan, u)
     finally:
         integrator.apply = real_apply
-    return len(calls)
+    return len(calls), sum(calls)
 
 
 def test_rk6_propagator_application_count():
-    # Six increment events (stages 2,4,5,6,7,8): 6 applications to u plus
-    # sum of (j-1) slope applications = 1+3+4+5+6+7 = 26; 32 total.
+    # Six increment events (stages 2,4,5,6,7,8), one call each: 6 applications
+    # to u plus sum of (j-1) slope applications = 1+3+4+5+6+7 = 26; 32 total.
     tab = rk6_tableau()
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      tab, 0.1)
     assert plan.shifts == (0, 1, 0, 1, 1, 1, 1, 1, 0)
-    total = count_propagator_applications(plan, np.ones(1, dtype=complex))
-    assert total == 6 + 26
+    calls, total = count_propagator_applications(plan, np.ones(1, dtype=complex))
+    assert (calls, total) == (6, 6 + 26)
 
 
 def test_rk4_propagator_application_count_matches_unrolled_listing():
@@ -183,8 +189,8 @@ def test_rk4_propagator_application_count_matches_unrolled_listing():
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      rk4_tableau(), 0.1)
     assert plan.shifts == (0, 1, 0, 1, 0)
-    total = count_propagator_applications(plan, np.ones(1, dtype=complex))
-    assert total == 2 + 4
+    calls, total = count_propagator_applications(plan, np.ones(1, dtype=complex))
+    assert (calls, total) == (2, 2 + 4)
 
 
 def test_heun3_trailing_steps():
@@ -192,9 +198,137 @@ def test_heun3_trailing_steps():
     plan = make_plan(OdeProblem(g=lambda v: v, A=diagonal_operator(np.array([-1.0]))),
                      heun3_tableau(), 0.1)
     assert plan.shifts == (0, 1, 1, 1)
-    total = count_propagator_applications(plan, np.ones(1, dtype=complex))
+    calls, total = count_propagator_applications(plan, np.ones(1, dtype=complex))
     # events at stages 2 and 3 (1+1 u, 1+2 k) plus trailing (1 u, 3 k)
-    assert total == 2 + 3 + 4
+    assert (calls, total) == (3, 2 + 3 + 4)
+
+
+def per_array_step(plan, u):
+    """The 0.10.0 slrk_step, one array per state and slope: the stacked step's reference."""
+    e, s = plan.propagator, len(plan.shifts) - 1
+    k = []
+    for j, (shift, row) in enumerate(zip(plan.shifts, plan.weights)):
+        for _ in range(shift):
+            if e.kind == "diagonal":
+                u, k = e.data * u, [e.data * km for km in k]
+            else:
+                u, k = e.data @ u, [e.data @ km for km in k]
+        stage = u
+        for w, km in zip(row, k):
+            if w != 0.0:
+                stage = stage + w * km
+        if j < s:
+            k.append(plan.h * np.asarray(plan.problem.g(stage)))
+    return stage
+
+
+def per_array_run(plan, u, n_steps):
+    for _ in range(n_steps):
+        u = per_array_step(plan, u)
+    return u
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("make", [rk4_tableau, rk6_tableau])
+def test_stacked_step_equals_per_array_step_bit_for_bit_on_navier_stokes(n, make):
+    grid = ns.make_grid(n)
+    plan = make_plan(ns.make_problem(grid, 1e-2), make(), 0.01)
+    w0 = ns.initial_condition(grid)
+    assert np.array_equal(integrate(plan, w0, 20), per_array_run(plan, w0, 20))
+
+
+@pytest.mark.parametrize("make", CONFORMING)
+def test_stacked_step_equals_per_array_step_bit_for_bit_on_a_complex_problem(make):
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(-50, 0, 8) + 1j * rng.uniform(-8, 8, 8)
+    alpha = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    g = lambda v: alpha * v * v + 0.2 * np.roll(v, 1)
+    u = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    plan = make_plan(OdeProblem(g=g, A=diagonal_operator(lam)), make(), 0.1)
+    assert np.array_equal(integrate(plan, u, 20), per_array_run(plan, u, 20))
+
+
+@pytest.mark.parametrize("make", CONFORMING)
+def test_stacked_step_matches_per_array_step_on_dense_a(make):
+    # One matrix product per shift sums in another order than one per state,
+    # so the bits may differ; the difference stays at rounding level.
+    rng = np.random.default_rng(64)
+    n = 64
+    lam = -(10.0 ** rng.uniform(-2.0, 3.0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    nonnormal = 3 * rng.standard_normal((n, n)) / np.sqrt(n) - 10 * np.eye(n)
+    u = 0.5 * rng.standard_normal(n)
+    for matrix in ((q * lam) @ q.T, nonnormal):
+        plan = make_plan(OdeProblem(g=lambda v: v - v ** 3, A=dense_operator(matrix)),
+                         make(), 0.05)
+        got, want = integrate(plan, u, 20), per_array_run(plan, u, 20)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stacked_step_keeps_no_history_and_leaves_its_input_alone():
+    grid = ns.make_grid(64)
+    w1 = ns.initial_condition(grid)
+    w2 = 0.5 * np.roll(w1, 3, axis=0)
+    keep1, keep2 = w1.copy(), w2.copy()
+    dense = dense_operator(-np.eye(8) + 0.1 * np.arange(64.0).reshape(8, 8) / 64)
+    cases = [(make_plan(ns.make_problem(grid, 1e-2), rk6_tableau(), 0.01), w1, w2),
+             (make_plan(OdeProblem(g=lambda v: v - v ** 3, A=dense), rk6_tableau(), 0.05),
+              np.linspace(-1.0, 1.0, 8), np.linspace(0.5, -0.5, 8))]
+    for plan, a, b in cases:
+        first = slrk_step(plan, a)
+        first_copy = first.copy()
+        second = slrk_step(plan, b)
+        third = slrk_step(plan, a)
+        assert np.array_equal(first, third)
+        assert np.array_equal(first, first_copy)  # not overwritten by the later steps
+        assert not np.array_equal(second, first)
+        assert first is not third and not np.shares_memory(first, third)
+    assert np.array_equal(w1, keep1) and np.array_equal(w2, keep2)
+
+
+def test_one_plan_steps_a_float_state_then_a_complex_one():
+    lam = np.array([-3.0, -0.5, 0.0, -20.0])
+    plan = make_plan(OdeProblem(g=lambda v: np.cos(v) - 0.1 * v * v,
+                                A=diagonal_operator(lam)), rk6_tableau(), 0.1)
+    real = np.array([0.3, -1.0, 2.0, 0.7])
+    cplx = real + 1j * np.array([0.2, 0.0, -0.4, 1.0])
+    for u in (real, cplx, real):
+        got = integrate(plan, u, 5)
+        assert got.dtype == u.dtype
+        assert np.array_equal(got, per_array_run(plan, u, 5))
+
+
+@pytest.mark.parametrize("kind, shape, state_shape", [
+    ("diagonal", (6, 6), (2, 6, 6)),
+    ("diagonal", (6, 6), (6,)),
+    ("dense", (6, 6), (2, 6)),
+    ("dense", (6, 6), (7,)),
+])
+def test_plan_rejects_a_state_that_does_not_fit_the_operator(kind, shape, state_shape):
+    # A stacked application broadcasts, so without this check a (2, n, n)
+    # state on an (n, n) spectrum would step silently.
+    A = diagonal_operator(-np.ones(shape)) if kind == "diagonal" else dense_operator(-np.eye(6))
+    plan = make_plan(OdeProblem(g=lambda v: v, A=A), rk4_tableau(), 0.1)
+    with pytest.raises(ValueError) as err:
+        slrk_step(plan, np.ones(state_shape))
+    message = str(err.value)
+    assert str(state_shape) in message and str(shape) in message and "\n" not in message
+
+
+def test_warm_step_allocates_little_beyond_its_result():
+    # The stack, the stage and the scratch term are allocated with the plan's
+    # workspace on the first step; a later step allocates its result, the
+    # right-hand side's output and that function's own temporaries.
+    grid = ns.make_grid(128)
+    plan = make_plan(ns.make_problem(grid, 1e-2), rk6_tableau(), 0.01)
+    u = slrk_step(plan, ns.initial_condition(grid))
+    tracemalloc.start()
+    try:
+        slrk_step(plan, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * u.nbytes
 
 
 def test_plan_without_operator_has_no_shifts():
@@ -311,5 +445,19 @@ def test_non_finite_rhs_aborts_with_diagnostic():
     prob = OdeProblem(g=lambda v: v / 0.0, A=None)
     plan = make_plan(prob, rk4_tableau(), 0.1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteStateError):
+        with pytest.raises(NonFiniteStateError, match="stage 1"):
             slrk_step(plan, np.ones(1))
+    # integrate names the step that failed and the time it was to reach:
+    # rk4 calls g 4 times a step, so call 10 is stage 2 of step 3.
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        return v / 0.0 if len(calls) == 10 else -v
+
+    plan = make_plan(OdeProblem(g=g, A=diagonal_operator(np.array([-1.0]))),
+                     rk4_tableau(), 0.1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite slope at stage 2 in step 3, t = 0\.3$"):
+            integrate(plan, np.ones(1), 5)

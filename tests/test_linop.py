@@ -207,6 +207,28 @@ def test_dimension_mismatch_errors():
         apply(ed, np.zeros(4))
 
 
+def test_apply_to_a_stack_of_states():
+    # Leading dimensions stack states; out may be the stack itself.
+    rng = np.random.default_rng(9)
+    e = make_propagator(diagonal_operator(-rng.uniform(0, 3, (4, 5))), 0.5)
+    stack = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    want = np.stack([apply(e, v) for v in stack])
+    assert np.array_equal(apply(e, stack), want)
+    apply(e, stack, out=stack)
+    assert np.array_equal(stack, want)
+    with pytest.raises(ValueError):
+        apply(e, np.zeros((3, 5, 4)))
+    ed = make_propagator(dense_operator(rng.standard_normal((6, 6)) - 6 * np.eye(6)), 0.3)
+    vs = rng.standard_normal((4, 6))
+    want = np.stack([apply(ed, v) for v in vs])  # one matrix-vector product each
+    got = apply(ed, vs)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    apply(ed, vs, out=vs)
+    assert np.array_equal(vs, got)
+    with pytest.raises(ValueError):
+        apply(ed, np.zeros((4, 7)))
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         dense_operator(np.zeros((2, 3)))
