@@ -127,9 +127,9 @@ def apply(e: LinearOperator, v: np.ndarray, *, out: np.ndarray | None = None) ->
     """Apply an operator (typically a propagator) to a state, or to a stack of states.
 
     The state's trailing dimensions are the spectrum's shape (diagonal) or
-    (N,) (dense); leading ones stack states, which a dense operator
-    multiplies in one product, v @ E.T. ``out`` receives the result and
-    may be v itself.
+    (N,) (dense); leading ones stack states. A dense operator multiplies a
+    state or a whole stack in one product, v @ E.T. ``out`` receives the
+    result and may be v itself.
     """
     v = np.asarray(v)
     if e.kind == "diagonal":
@@ -138,4 +138,4 @@ def apply(e: LinearOperator, v: np.ndarray, *, out: np.ndarray | None = None) ->
         return np.multiply(e.data, v, out=out)
     if v.shape[-1:] != e.data.shape[:1]:
         raise ValueError(f"state shape {v.shape} incompatible with {e.data.shape} propagator")
-    return np.matmul(e.data, v, out=out) if v.ndim == 1 else np.matmul(v, e.data.T, out=out)
+    return np.matmul(v, e.data.T, out=out)

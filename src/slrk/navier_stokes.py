@@ -13,9 +13,9 @@ right-hand side reads only the columns 0..n/3 that the 2/3 rule keeps and
 takes four real transforms of them (Basdevant's advection form, exact on
 states inside the dealias mask). The initial data lie inside the mask, and
 a stepped state stays inside it, since the right-hand side is zero outside
-the mask and the diffusion propagator is diagonal. The right-hand side
-writes its temporaries into a workspace that ``make_problem`` allocates
-once per problem, so only its output is allocated per call.
+the mask and the diffusion propagator is diagonal. ``nonlinear_rhs(grid)``
+builds the one right-hand side, advection plus forcing, with a workspace
+of its own, so only its output is allocated per call.
 """
 
 from __future__ import annotations
@@ -110,17 +110,6 @@ def initial_condition(grid: SpectralGrid) -> np.ndarray:
     return w_hat
 
 
-def _forcing_coefficient(n: int) -> float:
-    return -FORCING_WAVENUMBER / 2 * n * n
-
-
-def forcing_spectrum(grid: SpectralGrid) -> np.ndarray:
-    """Transform of the vorticity forcing -4 cos(4y), the curl of sin(4y) x_hat."""
-    f_hat = np.zeros((grid.n, grid.n), dtype=complex)
-    f_hat[0, [FORCING_WAVENUMBER, -FORCING_WAVENUMBER]] = _forcing_coefficient(grid.n)
-    return f_hat
-
-
 def linear_operator(grid: SpectralGrid, nu: float) -> linop.LinearOperator:
     """Diffusion: diagonal spectrum -nu*(kx^2 + ky^2); zero on the mean mode."""
     if not (np.isfinite(nu) and nu > 0):
@@ -128,15 +117,16 @@ def linear_operator(grid: SpectralGrid, nu: float) -> linop.LinearOperator:
     return linop.diagonal_operator(-nu * grid.k_squared)
 
 
-def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
-                  include_forcing: bool = True) -> np.ndarray:
-    """Advection plus forcing in spectral space: -FFT(u . grad omega) + f_hat.
+def nonlinear_rhs(grid: SpectralGrid):
+    """g(omega_hat) = -FFT(u . grad omega) + f_hat in spectral space, on a
+    workspace allocated here, once.
 
-    The streamfunction solves lap(psi) = -omega and the velocity is
-    (u, v) = (d psi/dy, -d psi/dx). Advection takes Basdevant's
-    four-transform form (J. Comput. Phys. 50, 1983),
-    u . grad omega = (dx^2 - dy^2)(uv) + dx dy (v^2 - u^2), so the
-    result is (ky^2 - kx^2) FFT(u (-v)) + kx ky FFT((-v)^2 - u^2), dealiased
+    f_hat is the transform of the vorticity forcing -4 cos(4y), the curl of
+    sin(4y) x_hat: -2n^2 on the modes (0, +-4). The streamfunction solves
+    lap(psi) = -omega and the velocity is (u, v) = (d psi/dy, -d psi/dx).
+    Advection takes Basdevant's four-transform form (J. Comput. Phys. 50,
+    1983), u . grad omega = (dx^2 - dy^2)(uv) + dx dy (v^2 - u^2), so g is
+    (ky^2 - kx^2) FFT(u (-v)) + kx ky FFT((-v)^2 - u^2) + f_hat, dealiased
     by the symbols' zeroed rows: two inverse and two forward real transforms.
 
     Only the input's columns 0..n/3 are read, since the 2/3 rule (Orszag,
@@ -154,24 +144,16 @@ def nonlinear_rhs(grid: SpectralGrid, omega_hat: np.ndarray,
     dealias mask, as every state stepped from masked initial data is; on a
     state populated outside the mask the two differ at order 1.
 
-    Every temporary is written with out= into a workspace: two (n, n/3+1)
+    Every temporary is written with out= into the workspace: two (n, n/3+1)
     complex arrays (psi, then each inverse transform in place, then
     FFT(u (-v)) and FFT((-v)^2 - u^2)), three (n, n) real arrays (u, -v and
     a scratch, where (-v)^2 - u^2 is formed as ((-v) - u)((-v) + u)), one
     (n, n/2+1) rfft array and the reflection index; about 0.69 MB at
-    n = 128. Each call here builds a fresh workspace; ``make_problem``'s g
-    runs the same code on one workspace allocated with the problem.
-    """
-    return _rhs(grid, include_forcing)(omega_hat)
-
-
-def _rhs(grid: SpectralGrid, include_forcing: bool):
-    """nonlinear_rhs(grid, ., include_forcing) on a workspace allocated here, once.
-
-    The returned function allocates only its output; it must not be called
-    from two threads at once.
+    n = 128. So g allocates only its output; it must not be called from two
+    threads at once.
     """
     n, kept = grid.n, grid.kx_ky_half.shape[1]  # the columns 0..n/3 the 2/3 rule keeps
+    forcing = -FORCING_WAVENUMBER / 2 * n * n
     c1, c2 = np.empty((2, n, kept), dtype=complex)
     u, minus_v, scratch = np.empty((3, n, n))
     row_hat = np.empty((n, n // 2 + 1), dtype=complex)
@@ -196,8 +178,7 @@ def _rhs(grid: SpectralGrid, include_forcing: bool):
                         out=half)
             uv_hat *= grid.ky2_minus_kx2_half
             half += uv_hat
-        if include_forcing:
-            half[0, FORCING_WAVENUMBER] += _forcing_coefficient(n)
+        half[0, FORCING_WAVENUMBER] += forcing
         out[:, kept:n - kept + 1] = 0.0
         np.conjugate(half[rev, kept - 1:0:-1], out=out[:, n - kept + 1:])
         out[:, 0] = 0.5 * (out[:, 0] + np.conj(out[rev, 0]))
@@ -218,14 +199,9 @@ def enstrophy(omega_hat: np.ndarray) -> float:
     return float(np.sum(np.abs(omega_hat) ** 2)) / n ** 4
 
 
-def make_problem(grid: SpectralGrid, nu: float,
-                 include_forcing: bool = True) -> OdeProblem:
-    """Vorticity dynamics as g(w) + A w for the Lawson steppers.
-
-    g is nonlinear_rhs on a workspace allocated here, once per problem; a
-    problem's g must not be called from two threads at once.
-    """
-    return OdeProblem(g=_rhs(grid, include_forcing), A=linear_operator(grid, nu))
+def make_problem(grid: SpectralGrid, nu: float) -> OdeProblem:
+    """Vorticity dynamics as g(w) + A w for the Lawson steppers; g has its own workspace."""
+    return OdeProblem(g=nonlinear_rhs(grid), A=linear_operator(grid, nu))
 
 
 def _final_vorticity(grid: SpectralGrid, nu: float, tableau: Tableau,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slrk import navier_stokes as ns
-from slrk.integrator import lawson_step_general, make_plan, slrk_step
+from slrk.integrator import OdeProblem, lawson_step_general, make_plan, slrk_step
 from slrk.linop import apply, make_propagator
 from slrk.tableau import rk4_tableau, rk6_tableau
 
@@ -56,7 +56,14 @@ def half_grid_symbols(grid):
     return inv_k2, ikx, iky
 
 
-def rfft2_rhs(grid, omega_hat, include_forcing=True):
+def reference_forcing(grid):
+    """Transform of the vorticity forcing -4 cos(4y): -2n^2 on the modes (0, +-4)."""
+    f_hat = np.zeros((grid.n, grid.n), dtype=complex)
+    f_hat[0, [ns.FORCING_WAVENUMBER, -ns.FORCING_WAVENUMBER]] = -2.0 * grid.n ** 2
+    return f_hat
+
+
+def rfft2_rhs(grid, omega_hat):
     """The 0.8.0 right-hand side: the same four-transform form through irfft2
     and rfft2 on the whole half grid, dealiased by masked symbols; kept as the
     bitwise reference."""
@@ -68,8 +75,7 @@ def rfft2_rhs(grid, omega_hat, include_forcing=True):
     u, minus_v = (np.fft.irfft2(f, s=(n, n)) for f in (iky * psi, ikx * psi))
     half = np.fft.rfft2((minus_v - u) * (minus_v + u)) * np.where(mask, kx * ky, 0.0)
     half += np.fft.rfft2(u * minus_v) * np.where(mask, ky ** 2 - kx ** 2, 0.0)
-    if include_forcing:
-        half[0, ns.FORCING_WAVENUMBER] += ns.forcing_spectrum(grid)[0, ns.FORCING_WAVENUMBER]
+    half[0, ns.FORCING_WAVENUMBER] += reference_forcing(grid)[0, ns.FORCING_WAVENUMBER]
     rev = (-np.arange(n)) % n
     out = np.concatenate([half, np.conj(half[rev, m - 2:0:-1])], axis=1)
     out[:, ::n // 2] = 0.5 * (out[:, ::n // 2] + np.conj(out[rev, ::n // 2]))
@@ -77,7 +83,7 @@ def rfft2_rhs(grid, omega_hat, include_forcing=True):
     return out
 
 
-def five_transform_rhs(grid, omega_hat, include_forcing=True):
+def five_transform_rhs(grid, omega_hat):
     """The 0.7.0 real-FFT right-hand side, -(u wx + v wy) from five real transforms;
     kept as the second oracle."""
     n, m = grid.n, grid.n // 2 + 1
@@ -87,8 +93,7 @@ def five_transform_rhs(grid, omega_hat, include_forcing=True):
     u, minus_v, wx, wy = (np.fft.irfft2(f, s=(n, n)) for f in
                           (iky * psi, ikx * psi, ikx * w_half, iky * w_half))
     half = np.fft.rfft2(minus_v * wy - u * wx) * grid.dealias_mask[:, :m]
-    if include_forcing:
-        half += ns.forcing_spectrum(grid)[:, :m]
+    half += reference_forcing(grid)[:, :m]
     rev = (-np.arange(n)) % n
     out = np.concatenate([half, np.conj(half[rev, m - 2:0:-1])], axis=1)
     out = 0.5 * (out + reflected_conjugate(out))
@@ -96,7 +101,7 @@ def five_transform_rhs(grid, omega_hat, include_forcing=True):
     return out
 
 
-def full_fft_rhs(grid, omega_hat, include_forcing=True):
+def full_fft_rhs(grid, omega_hat):
     """The original full complex-FFT right-hand side, kept as the oracle."""
     kx, ky = grid.kx, grid.ky
     k2 = grid.k_squared.astype(float)
@@ -107,9 +112,7 @@ def full_fft_rhs(grid, omega_hat, include_forcing=True):
     v = np.fft.ifft2(-1j * kx * psi_hat).real
     wx = np.fft.ifft2(1j * kx * omega_hat).real
     wy = np.fft.ifft2(1j * ky * omega_hat).real
-    out = -np.fft.fft2(u * wx + v * wy) * grid.dealias_mask
-    if include_forcing:
-        out = out + ns.forcing_spectrum(grid)
+    out = -np.fft.fft2(u * wx + v * wy) * grid.dealias_mask + reference_forcing(grid)
     out = 0.5 * (out + reflected_conjugate(out))
     out[0, 0] = 0.0
     return out
@@ -186,14 +189,14 @@ def test_linear_operator_spectrum():
 
 def test_forcing_occupies_two_modes():
     grid = ns.make_grid(32)
-    f = ns.forcing_spectrum(grid)
+    f = ns.nonlinear_rhs(grid)(np.zeros((32, 32), dtype=complex))
     assert np.count_nonzero(f) == 2
     assert f[0, 4] == -2 * 32 ** 2
     assert f[0, -4 % 32] == -2 * 32 ** 2
-    # physical space: -4 cos(4y)
+    # physical space: -4 cos(4y) on every row
     y = 2 * np.pi * np.arange(32) / 32
     phys = np.fft.ifft2(f).real
-    assert np.max(np.abs(phys[0] - (-4 * np.cos(4 * y)))) <= 1e-12
+    assert np.max(np.abs(phys - (-4 * np.cos(4 * y)))) <= 1e-12
 
 
 def test_single_mode_advection_vanishes():
@@ -201,15 +204,15 @@ def test_single_mode_advection_vanishes():
     w = np.zeros((32, 32), dtype=complex)
     w[3 % 32, 2 % 32] = (1 - 2j) * 32 ** 2
     w[-3 % 32, -2 % 32] = (1 + 2j) * 32 ** 2
-    g = ns.nonlinear_rhs(grid, w)
-    assert np.max(np.abs(g - ns.forcing_spectrum(grid))) <= 1e-8
+    g = ns.nonlinear_rhs(grid)(w)
+    assert np.max(np.abs(g - reference_forcing(grid))) <= 1e-8
 
 
 def test_zero_state_rhs_is_pure_forcing():
     grid = ns.make_grid(32)
     zero = np.zeros((32, 32), dtype=complex)
-    g = ns.nonlinear_rhs(grid, zero)
-    assert np.array_equal(g, ns.forcing_spectrum(grid))
+    g = ns.nonlinear_rhs(grid)(zero)
+    assert np.array_equal(g, reference_forcing(grid))
     # one RK step from rest populates exactly the forcing modes
     plan = make_plan(ns.make_problem(grid, 1e-2), rk4_tableau(), 1e-3)
     w1 = slrk_step(plan, zero)
@@ -219,25 +222,26 @@ def test_zero_state_rhs_is_pure_forcing():
 
 def test_rhs_preserves_hermitian_symmetry_and_zero_mean():
     grid = ns.make_grid(32)
+    g = ns.nonlinear_rhs(grid)
     w = ns.initial_condition(grid)
     for _ in range(3):
-        w = w + 0.01 * ns.nonlinear_rhs(grid, w)
+        w = w + 0.01 * g(w)
         assert np.array_equal(reflected_conjugate(w), w)
         assert w[0, 0] == 0
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
-@pytest.mark.parametrize("include_forcing", [True, False])
-def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
+def test_real_fft_rhs_matches_full_fft_oracle(n):
     # Basdevant's form equals u . grad omega only on states inside the dealias mask.
     grid = ns.make_grid(n)
+    g = ns.nonlinear_rhs(grid)
     rng = np.random.default_rng(n)
     for _ in range(3):
         w = random_masked_state(grid, rng)
         before = w.copy()
-        got = ns.nonlinear_rhs(grid, w, include_forcing=include_forcing)
+        got = g(w)
         for oracle in (full_fft_rhs, five_transform_rhs):
-            want = oracle(grid, w, include_forcing=include_forcing)
+            want = oracle(grid, w)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # exactly Hermitian with a zero mean by construction; input untouched
         assert np.array_equal(got, reflected_conjugate(got))
@@ -246,15 +250,14 @@ def test_real_fft_rhs_matches_full_fft_oracle(n, include_forcing):
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
-@pytest.mark.parametrize("include_forcing", [True, False])
-def test_rhs_equals_the_rfft2_composition_bit_for_bit(n, include_forcing):
+def test_rhs_equals_the_rfft2_composition_bit_for_bit(n):
     # Skipping the dropped columns' first or last pass leaves numpy's per-column arithmetic alone.
     grid = ns.make_grid(n)
+    g = ns.nonlinear_rhs(grid)
     rng = np.random.default_rng(n + 1)
     for _ in range(3):
         w = random_masked_state(grid, rng)
-        got = ns.nonlinear_rhs(grid, w, include_forcing=include_forcing)
-        assert np.array_equal(got, rfft2_rhs(grid, w, include_forcing=include_forcing))
+        assert np.array_equal(g(w), rfft2_rhs(grid, w))
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -274,6 +277,18 @@ def test_problem_rhs_does_not_depend_on_call_history(n):
     assert np.array_equal(w1, w1_before) and np.array_equal(w2, w2_before)
     assert np.array_equal(first, rfft2_rhs(grid, w1))
     assert np.array_equal(second, rfft2_rhs(grid, w2))
+
+
+def test_two_rhs_on_one_grid_do_not_share_a_workspace():
+    # Each nonlinear_rhs(grid) call allocates its own workspace; the grid carries none.
+    grid = ns.make_grid(64)
+    g1, g2 = ns.nonlinear_rhs(grid), ns.nonlinear_rhs(grid)
+    rng = np.random.default_rng(68)
+    w1, w2 = random_masked_state(grid, rng), random_masked_state(grid, rng)
+    want1, want2 = rfft2_rhs(grid, w1), rfft2_rhs(grid, w2)
+    got = [g1(w1), g2(w2), g1(w2), g2(w1), g1(w1), g2(w2)]
+    for result, want in zip(got, [want1, want2, want2, want1, want1, want2]):
+        assert np.array_equal(result, want)
 
 
 def test_problem_rhs_allocates_little_beyond_its_output():
@@ -297,11 +312,12 @@ def test_rhs_ignores_and_zeroes_the_columns_the_mask_drops(n):
     grid = ns.make_grid(n)
     rng = np.random.default_rng(n + 2)
     w = random_hermitian_state(n, rng)
-    got = ns.nonlinear_rhs(grid, w)
+    g = ns.nonlinear_rhs(grid)
+    got = g(w)
     assert np.all(got[~grid.dealias_mask] == 0)
     dropped = np.abs(grid.ky) > n / 3
     other = np.where(dropped, random_hermitian_state(n, rng), w)
-    assert np.array_equal(ns.nonlinear_rhs(grid, other), got)
+    assert np.array_equal(g(other), got)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -361,7 +377,8 @@ def test_streamfunction_velocity_curl_identity():
 
 def test_enstrophy_non_increasing_without_forcing():
     grid = ns.make_grid(32)
-    prob = ns.make_problem(grid, 1e-2, include_forcing=False)
+    g, forcing = ns.nonlinear_rhs(grid), reference_forcing(grid)
+    prob = OdeProblem(g=lambda w: g(w) - forcing, A=ns.linear_operator(grid, 1e-2))
     plan = make_plan(prob, rk6_tableau(), 1e-3)
     w = ns.initial_condition(grid)
     before = ns.enstrophy(w)
