@@ -24,7 +24,6 @@ from .tableau import (
 from .order_conditions import (
     OrderCondition,
     RootedTree,
-    elementary_weight,
     enumerate_trees,
     order_residuals,
     verified_order,
@@ -66,4 +65,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -92,7 +92,7 @@ def _parse_complex(flag: str, text: str) -> complex:
 
 def _checked(build, *args):
     """build(*args), its ValueError a usage error; only for builders that check
-    their input before any work (make_plan, make_grid, make_problem)."""
+    their input before any work (make_plan, make_grid, make_problem, linear_operator)."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -260,7 +260,7 @@ def cmd_ns_converge(args, run: _Run) -> int:
         raise _UsageError(f"--ref must be >= 4x the largest --steps ({4 * steps[-1]}), got {args.ref}")
     _check_end_time(args.t)
     grid = _checked(navier_stokes.make_grid, args.n)
-    _checked(navier_stokes.make_problem, grid, args.nu)  # rejects a bad --nu before any step
+    _checked(navier_stokes.linear_operator, grid, args.nu)  # rejects a bad --nu before any step
     result = navier_stokes.convergence_study(
         grid, args.nu, args.t, steps, reference_steps=args.ref)
     out = Path(args.out)

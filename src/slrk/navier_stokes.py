@@ -13,8 +13,9 @@ right-hand side reads only the columns 0..n/3 that the 2/3 rule keeps and
 takes four real transforms of them (Basdevant's advection form, exact on
 states inside the dealias mask). The initial data lie inside the mask, and
 a stepped state stays inside it, since the right-hand side is zero outside
-the mask and the diffusion propagator is diagonal. ``nonlinear_rhs(grid)``
-builds the one right-hand side, advection plus forcing, with a workspace
+the mask and the diffusion propagator is diagonal. The grid holds the
+wavenumbers alone; ``nonlinear_rhs(grid)`` builds the one right-hand side,
+advection plus forcing, with the symbols it multiplies by and a workspace
 of its own, so only its output is allocated per call.
 """
 
@@ -40,23 +41,19 @@ _INITIAL_MODES = (
 FORCING_WAVENUMBER = 4
 
 
+def _kept_columns(n: int) -> int:
+    """K = n/3 + 1: the 2/3 rule keeps |kx|, |ky| <= n/3, so rfft2's half-grid columns 0..K-1."""
+    return n // 3 + 1
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Wavenumbers for an n-by-n periodic grid, plus what the right-hand side
-    multiplies by: i*kx as a column (0 on the Nyquist row, where a real
-    field's odd derivative vanishes), and on the columns 0..n/3 of rfft2's
-    half grid that the 2/3 rule keeps, 1/k^2 (0 at the mean mode), i*ky and
-    the advection symbols (ky^2 - kx^2) and kx*ky with the rows the rule
-    drops zeroed."""
+    """Integer wavenumbers of an n-by-n periodic grid in FFT order, kx varying
+    along axis 0 and ky along axis 1, each broadcast to (n, n)."""
 
     n: int
     kx: np.ndarray
     ky: np.ndarray
-    inv_k_squared_half: np.ndarray
-    ikx: np.ndarray
-    iky_half: np.ndarray
-    ky2_minus_kx2_half: np.ndarray
-    kx_ky_half: np.ndarray
 
     @property
     def k_squared(self) -> np.ndarray:
@@ -65,7 +62,7 @@ class SpectralGrid:
     @property
     def dealias_mask(self) -> np.ndarray:
         """The 2/3 rule: True where |kx| and |ky| are both at most n/3."""
-        kept = np.abs(self.kx[:, 0]) <= self.n / 3
+        kept = np.abs(self.kx[:, 0]) < _kept_columns(self.n)
         return kept[:, None] & kept
 
 
@@ -73,21 +70,8 @@ def make_grid(n: int) -> SpectralGrid:
     """Build the grid; n must be a power of two, at least 16."""
     if n < 16 or n & (n - 1):
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
-    kept = n // 3 + 1  # the 2/3 rule keeps |kx|, |ky| <= n/3: half-grid columns 0..kept-1
     k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    kf = k.astype(float)
-    k2 = np.square(kf)
-    k2_kept = np.add.outer(k2, k2[:kept])
-    k2_kept[0, 0] = np.inf  # 1/k^2 is 0 on the mean mode
-    ik = np.where(np.arange(n) == n // 2, 0, 1j * k)
-    kx_ky, ky2_minus_kx2 = np.outer(kf, kf[:kept]), np.add.outer(-k2, k2[:kept])
-    for symbol in (kx_ky, ky2_minus_kx2):  # zero the rows the 2/3 rule drops
-        symbol[kept:n - kept + 1] = 0.0
-    return SpectralGrid(
-        n=n, kx=np.broadcast_to(k[:, None], (n, n)), ky=np.broadcast_to(k, (n, n)),
-        ikx=ik[:, None], iky_half=ik[:kept],
-        inv_k_squared_half=np.divide(1.0, k2_kept, out=k2_kept),
-        ky2_minus_kx2_half=ky2_minus_kx2, kx_ky_half=kx_ky)
+    return SpectralGrid(n=n, kx=np.broadcast_to(k[:, None], (n, n)), ky=np.broadcast_to(k, (n, n)))
 
 
 def initial_condition(grid: SpectralGrid) -> np.ndarray:
@@ -118,8 +102,8 @@ def linear_operator(grid: SpectralGrid, nu: float) -> linop.LinearOperator:
 
 
 def nonlinear_rhs(grid: SpectralGrid):
-    """g(omega_hat) = -FFT(u . grad omega) + f_hat in spectral space, on a
-    workspace allocated here, once.
+    """g(omega_hat) = -FFT(u . grad omega) + f_hat in spectral space, with the
+    symbols it multiplies by and a workspace, both built here, once.
 
     f_hat is the transform of the vorticity forcing -4 cos(4y), the curl of
     sin(4y) x_hat: -2n^2 on the modes (0, +-4). The streamfunction solves
@@ -144,16 +128,29 @@ def nonlinear_rhs(grid: SpectralGrid):
     dealias mask, as every state stepped from masked initial data is; on a
     state populated outside the mask the two differ at order 1.
 
-    Every temporary is written with out= into the workspace: two (n, n/3+1)
-    complex arrays (psi, then each inverse transform in place, then
-    FFT(u (-v)) and FFT((-v)^2 - u^2)), three (n, n) real arrays (u, -v and
-    a scratch, where (-v)^2 - u^2 is formed as ((-v) - u)((-v) + u)), one
-    (n, n/2+1) rfft array and the reflection index; about 0.69 MB at
-    n = 128. So g allocates only its output; it must not be called from two
-    threads at once.
+    The symbols live on the K = n/3 + 1 kept columns: 1/k^2 (0 at the mean
+    mode), i*ky, the advection symbols with the rows the 2/3 rule drops
+    zeroed, and i*kx as a column (0 on the Nyquist row, where a real field's
+    odd derivative vanishes). Every temporary is written with out= into the
+    workspace: two (n, K) complex arrays (psi, then each inverse transform
+    in place, then FFT(u (-v)) and FFT((-v)^2 - u^2)), three (n, n) real
+    arrays (u, -v and a scratch, where (-v)^2 - u^2 is formed as
+    ((-v) - u)((-v) + u)), one (n, n/2+1) rfft array and the reflection
+    index; about 0.69 MB at n = 128. So g allocates only its output; it
+    must not be called from two threads at once.
     """
-    n, kept = grid.n, grid.kx_ky_half.shape[1]  # the columns 0..n/3 the 2/3 rule keeps
+    n, kept = grid.n, _kept_columns(grid.n)
     forcing = -FORCING_WAVENUMBER / 2 * n * n
+    kf = grid.kx[:, 0].astype(float)
+    k2 = np.square(kf)
+    inv_k2 = np.add.outer(k2, k2[:kept])
+    inv_k2[0, 0] = np.inf  # 1/k^2 is 0 on the mean mode
+    np.divide(1.0, inv_k2, out=inv_k2)
+    ik = np.where(np.arange(n) == n // 2, 0, 1j * kf)
+    ikx, iky = ik[:, None], ik[:kept]
+    kx_ky, ky2_minus_kx2 = np.outer(kf, kf[:kept]), np.add.outer(-k2, k2[:kept])
+    for symbol in (kx_ky, ky2_minus_kx2):  # zero the rows the 2/3 rule drops
+        symbol[kept:n - kept + 1] = 0.0
     c1, c2 = np.empty((2, n, kept), dtype=complex)
     u, minus_v, scratch = np.empty((3, n, n))
     row_hat = np.empty((n, n // 2 + 1), dtype=complex)
@@ -164,9 +161,9 @@ def nonlinear_rhs(grid: SpectralGrid):
         half = out[:, :kept]
         # Overflow here just means blow-up; the stepper's finite check on the slope raises.
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = np.multiply(omega_hat[:, :kept], grid.inv_k_squared_half, out=c1)
-            np.multiply(grid.ikx, psi, out=c2)
-            np.multiply(grid.iky_half, psi, out=c1)
+            psi = np.multiply(omega_hat[:, :kept], inv_k2, out=c1)
+            np.multiply(ikx, psi, out=c2)
+            np.multiply(iky, psi, out=c1)
             for f, field in ((c1, u), (c2, minus_v)):
                 np.fft.irfft(np.fft.ifft(f, axis=0, out=f), n=n, axis=1, out=field)
             np.fft.rfft(np.multiply(u, minus_v, out=scratch), axis=1, out=row_hat)
@@ -174,9 +171,8 @@ def nonlinear_rhs(grid: SpectralGrid):
             v2_u2 = np.multiply(np.subtract(minus_v, u, out=scratch),
                                 np.add(minus_v, u, out=u), out=scratch)
             np.fft.rfft(v2_u2, axis=1, out=row_hat)
-            np.multiply(np.fft.fft(row_hat[:, :kept], axis=0, out=c2), grid.kx_ky_half,
-                        out=half)
-            uv_hat *= grid.ky2_minus_kx2_half
+            np.multiply(np.fft.fft(row_hat[:, :kept], axis=0, out=c2), kx_ky, out=half)
+            uv_hat *= ky2_minus_kx2
             half += uv_hat
         half[0, FORCING_WAVENUMBER] += forcing
         out[:, kept:n - kept + 1] = 0.0
@@ -202,12 +198,6 @@ def enstrophy(omega_hat: np.ndarray) -> float:
 def make_problem(grid: SpectralGrid, nu: float) -> OdeProblem:
     """Vorticity dynamics as g(w) + A w for the Lawson steppers; g has its own workspace."""
     return OdeProblem(g=nonlinear_rhs(grid), A=linear_operator(grid, nu))
-
-
-def _final_vorticity(grid: SpectralGrid, nu: float, tableau: Tableau,
-                     t_final: float, n_steps: int) -> np.ndarray:
-    plan = make_plan(make_problem(grid, nu), tableau, t_final / n_steps)
-    return vorticity_field(integrate(plan, initial_condition(grid), n_steps))
 
 
 @dataclass(frozen=True)
@@ -240,7 +230,8 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts
     (default 4x the largest tested count; must be at least that). The
     log-log slope fit uses points that are finite, below 1% of the
     reference field amplitude (past the pre-asymptotic regime), and above
-    ten times the smallest error in the table (the empirical floor).
+    ten times the smallest error in the table (the empirical floor). Every
+    run steps one problem from one initial state.
     """
     if sorted(step_counts) != list(step_counts) or len(set(step_counts)) != len(step_counts):
         raise ValueError("step_counts must be strictly increasing")
@@ -251,15 +242,20 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts
     if reference_steps < 4 * max(step_counts):
         raise ValueError("reference step count must be >= 4x the largest tested")
     schemes = [rk4_tableau(), rk6_tableau()]
+    problem, w0 = make_problem(grid, nu), initial_condition(grid)
 
-    w_ref = _final_vorticity(grid, nu, rk6_tableau(), t_final, reference_steps)
+    def final_vorticity(tableau: Tableau, n_steps: int) -> np.ndarray:
+        plan = make_plan(problem, tableau, t_final / n_steps)
+        return vorticity_field(integrate(plan, w0, n_steps))
+
+    w_ref = final_vorticity(rk6_tableau(), reference_steps)
     ref_scale = float(np.max(np.abs(w_ref)))
 
     cells = []
     for tab in schemes:
         for m in step_counts:
             try:
-                w = _final_vorticity(grid, nu, tab, t_final, m)
+                w = final_vorticity(tab, m)
                 err = float(np.max(np.abs(w - w_ref)))
                 if not np.isfinite(err):
                     err = float("nan")

@@ -161,12 +161,6 @@ def _exact_weights(tab: Tableau, max_order: int):
         yield t, b.dot(phi[0]), d_b * d ** (t.order - 1)
 
 
-def elementary_weight(tab: Tableau, t: RootedTree) -> Fraction:
-    """Exact elementary weight of tree t under the given tableau."""
-    weights = {tree: (num, den) for tree, num, den in _exact_weights(tab, t.order)}
-    return Fraction(*weights[t])
-
-
 @dataclass(frozen=True)
 class OrderCondition:
     """One order condition: residual = weight(tree) - 1/density(tree)."""

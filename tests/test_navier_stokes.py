@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slrk import navier_stokes as ns
-from slrk.integrator import OdeProblem, lawson_step_general, make_plan, slrk_step
+from slrk.integrator import OdeProblem, integrate, lawson_step_general, make_plan, slrk_step
 from slrk.linop import apply, make_propagator
 from slrk.tableau import rk4_tableau, rk6_tableau
 
@@ -291,6 +291,22 @@ def test_two_rhs_on_one_grid_do_not_share_a_workspace():
         assert np.array_equal(result, want)
 
 
+def test_one_problem_steps_plans_of_any_h_and_tableau_like_a_fresh_problem():
+    # convergence_study steps all its runs with one problem, so one g workspace.
+    grid = ns.make_grid(32)
+    shared = ns.make_problem(grid, 1e-2)
+    w0 = ns.initial_condition(grid)
+    runs = [(rk6_tableau, 0.01), (rk4_tableau, 0.02), (rk6_tableau, 0.005), (rk4_tableau, 0.01)]
+    plans = [make_plan(shared, tableau(), h) for tableau, h in runs]
+    states = [w0] * len(plans)
+    for _ in range(4):  # interleaved, so each step follows another plan's use of g
+        states = [slrk_step(plan, w) for plan, w in zip(plans, states)]
+    for (tableau, h), got in zip(runs, states):
+        want = integrate(make_plan(ns.make_problem(grid, 1e-2), tableau(), h), w0, 4)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(w0, ns.initial_condition(grid))
+
+
 def test_problem_rhs_allocates_little_beyond_its_output():
     # A warm call allocates its output and numpy's ufunc buffers; 0.9.0's
     # temporaries took 4.2x the output's size.
@@ -307,7 +323,7 @@ def test_problem_rhs_allocates_little_beyond_its_output():
     assert peak <= 2 * out.nbytes
 
 
-@pytest.mark.parametrize("n", [16, 32, 128])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 def test_rhs_ignores_and_zeroes_the_columns_the_mask_drops(n):
     grid = ns.make_grid(n)
     rng = np.random.default_rng(n + 2)

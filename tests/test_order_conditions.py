@@ -10,7 +10,6 @@ from slrk.order_conditions import (
     VERIFIED_ORDER_CAP,
     RootedTree,
     _densities,
-    elementary_weight,
     enumerate_trees,
     order_residuals,
     verified_order,
@@ -60,6 +59,11 @@ def reference_weight(tab, t):
         return out
 
     return sum((bi * pi for bi, pi in zip(tab.b, phi(t))), Fraction(0))
+
+
+def weights(tab, p):
+    """Exact elementary weight of every tree of order <= p: residual + 1/density."""
+    return {c.tree: c.residual + 1 / c.density for c in order_residuals(tab, p)}
 
 
 def perturbed(tab, name, da=(), db=()):
@@ -142,31 +146,33 @@ def test_density_matches_subtree_product_oracle():
 @pytest.mark.parametrize("make", [euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau])
 def test_single_node_weight_is_b_sum(make):
     t = make()
-    assert elementary_weight(t, LEAF) == sum(t.b)
+    assert weights(t, 1)[LEAF] == sum(t.b)
 
 
 def test_path2_weight_on_rk4():
     t = rk4_tableau()
     expected = sum(bi * ci for bi, ci in zip(t.b, t.c))
-    assert elementary_weight(t, PATH2) == expected == Fraction(1, 2)
+    assert weights(t, 2)[PATH2] == expected == Fraction(1, 2)
 
 
 def test_rk6_satisfies_all_order6_conditions():
-    t = rk6_tableau()
-    for tree in enumerate_trees(6):
-        assert elementary_weight(t, tree) == Fraction(1, subtree_size_product(tree))
+    exact = weights(rk6_tableau(), 6)
+    assert list(exact) == enumerate_trees(6)
+    for tree, weight in exact.items():
+        assert weight == Fraction(1, subtree_size_product(tree))
 
 
 def test_weight_invariant_under_child_permutation():
     rng = random.Random(99)
     tab = rk6_tableau()
+    exact = weights(tab, 6)
     trees = [t for t in enumerate_trees(6) if len(t.children) > 1]
     for t in trees:
         kids = list(t.children)
         rng.shuffle(kids)
         shuffled = RootedTree(tuple(kids))
         assert shuffled == t
-        assert elementary_weight(tab, shuffled) == elementary_weight(tab, t)
+        assert exact[shuffled] == exact[t] == reference_weight(tab, shuffled)
 
 
 def test_order_residuals_rk6():
@@ -207,8 +213,7 @@ def test_exact_residuals_match_recursive_oracle(tab):
             assert c.residual == oracle[c.tree]
             assert type(c.density) is Fraction
             assert c.density == subtree_size_product(c.tree)
-    for t in enumerate_trees(5):
-        weight = elementary_weight(tab, t)
+    for t, weight in weights(tab, 5).items():
         assert type(weight) is Fraction
         assert weight == reference_weight(tab, t)
 
