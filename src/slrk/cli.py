@@ -3,7 +3,7 @@
 All numeric outputs are CSV or JSON. Runs that write files also write a
 run manifest (JSON) next to them, recording every flag as typed;
 re-running the flags of a manifest reproduces the outputs bit for bit.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error or blow-up, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, navier_stokes
-from .integrator import OdeProblem, integrate, make_plan
+from .integrator import NonFiniteStateError, OdeProblem, integrate, make_plan
 from .linop import diagonal_operator
 from .order_conditions import order_residuals, verified_order
 from .search import SearchConfig, multi_start_search, rationalize
@@ -282,17 +282,6 @@ def _snapshot(field_phys: np.ndarray, t: float) -> bytes:
     return header + np.ascontiguousarray(field_phys, dtype=np.float64).tobytes()
 
 
-def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
-    """Inverse of the snapshot writer of ns-run."""
-    raw = path.read_bytes()
-    first = raw.index(b"\n")
-    second = raw.index(b"\n", first + 1)
-    n = int(raw[:first].split()[1])
-    t = float(raw[first + 1:second].split()[1])
-    data = np.frombuffer(raw[second + 1:], dtype=np.float64)
-    return data.reshape(n, n), t
-
-
 def cmd_ns_run(args, run: _Run) -> int:
     if args.steps < 1:
         raise _UsageError(f"--steps must be >= 1, got {args.steps}")
@@ -308,12 +297,16 @@ def cmd_ns_run(args, run: _Run) -> int:
     out = Path(args.out)
     chunk = args.every or args.steps
     done = 0
-    while args.steps - done > chunk:
-        w_hat = integrate(plan, w_hat, chunk)
-        done += chunk
-        run.write(out.with_name(f"{out.stem}_step{done}{out.suffix}"),
-                  _snapshot(navier_stokes.vorticity_field(w_hat), done * h))
-    w_hat = integrate(plan, w_hat, args.steps - done)
+    try:
+        while args.steps - done > chunk:
+            w_hat = integrate(plan, w_hat, chunk)
+            done += chunk
+            run.write(out.with_name(f"{out.stem}_step{done}{out.suffix}"),
+                      _snapshot(navier_stokes.vorticity_field(w_hat), done * h))
+        w_hat = integrate(plan, w_hat, args.steps - done)
+    except NonFiniteStateError as err:  # name the step of the run, not of the chunk
+        step = done + err.step
+        raise NonFiniteStateError(f"{err.__cause__} in step {step}, t = {step * h:g}") from None
     run.write(out, _snapshot(navier_stokes.vorticity_field(w_hat), args.t))
     return 0
 
@@ -414,7 +407,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args, run)
-    except _UsageError as exc:
+    except (_UsageError, NonFiniteStateError) as exc:  # a blow-up exits 1, as a traceback would
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if run.outputs:

@@ -166,7 +166,8 @@ def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
 def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
     """Step n_steps times from u0; returns the final state.
 
-    A NonFiniteStateError names the step (from 1) and the time it was to reach.
+    A NonFiniteStateError names the step (from 1) and the time it was to reach;
+    it holds that step as ``step`` and slrk_step's error as its cause.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -175,5 +176,7 @@ def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
         try:
             u = slrk_step(plan, u)
         except NonFiniteStateError as err:
-            raise NonFiniteStateError(f"{err} in step {step}, t = {step * plan.h:g}") from err
+            located = NonFiniteStateError(f"{err} in step {step}, t = {step * plan.h:g}")
+            located.step = step
+            raise located from err
     return u

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .order_conditions import _densities, _stage_weights, enumerate_trees, order_residuals
+from .order_conditions import MAX_ORDER, _densities, _stage_weights, enumerate_trees, order_residuals
 from .tableau import Tableau, abscissa_grid
 
 DIVERGENCE_NORM = 1e6
@@ -77,6 +77,8 @@ class SearchConfig:
             raise ValueError("stages must be >= 1")
         if self.target_order < 1:
             raise ValueError("target_order must be >= 1")
+        if self.target_order > MAX_ORDER:
+            raise ValueError(f"target_order must be <= {MAX_ORDER}, got {self.target_order}")
         delta_c = Fraction(self.delta_c)
         if delta_c <= 0:
             raise ValueError(f"delta_c must be > 0, got {delta_c}")
@@ -223,31 +225,27 @@ def search(cfg: SearchConfig) -> SearchResult:
     resid = float(np.linalg.norm(f, np.inf))
     reg_lambda = LAMBDA_INIT
     history = [resid]
-    iters = 0
-    status = "stalled"
+
+    def stop(status: str) -> SearchResult:
+        tableau = unpack(x, cfg.stages) if status == "converged" else None
+        return SearchResult(status, tableau, tuple(history), cfg.rng_seed)
+
     while True:
         if resid <= cfg.residual_tol:
-            status = "converged"
-            break
+            return stop("converged")
         if np.linalg.norm(x) > DIVERGENCE_NORM:
-            status = "diverged"
-            break
-        if iters >= cfg.max_iters:
-            status = "stalled"
-            break
-        if len(history) > STALL_WINDOW:
-            recent = min(history[-STALL_WINDOW:])
-            before = min(history[:-STALL_WINDOW])
-            if recent > STALL_FACTOR * before:
-                status = "stalled"
-                break
+            return stop("diverged")
+        if len(history) > cfg.max_iters:
+            return stop("stalled")
+        # Every step recorded so far was accepted and lowered the residual strictly, so
+        # history[-1] is the window's minimum and history[-STALL_WINDOW - 1] the one before it.
+        if len(history) > STALL_WINDOW and history[-1] > STALL_FACTOR * history[-STALL_WINDOW - 1]:
+            return stop("stalled")
         try:
             svd = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
         except np.linalg.LinAlgError:
-            status = "stalled"
-            break
+            return stop("stalled")
         gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else DAMPING
-        accepted = False
         while reg_lambda <= LAMBDA_MAX:
             x_new = x - gamma * _filtered_step(svd, f, reg_lambda)
             f_new = residual_vector(x_new, cfg)
@@ -255,17 +253,12 @@ def search(cfg: SearchConfig) -> SearchResult:
             if norm_new < resid:
                 x, f, resid = x_new, f_new, norm_new
                 reg_lambda = max(reg_lambda / LAMBDA_SHRINK, LAMBDA_MIN)
-                accepted = True
                 break
             reg_lambda *= LAMBDA_GROW
-        iters += 1
+        else:  # no trial was accepted
+            history.append(resid)
+            return stop("stalled")
         history.append(resid)
-        if not accepted:
-            status = "stalled"
-            break
-    tableau = unpack(x, cfg.stages) if status == "converged" else None
-    return SearchResult(status=status, tableau=tableau, history=tuple(history),
-                        rng_seed=cfg.rng_seed)
 
 
 def multi_start_search(cfg: SearchConfig, n_seeds: int) -> list[SearchResult]:

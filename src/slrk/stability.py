@@ -39,13 +39,6 @@ class StabilityPolynomial:
             acc = acc * z + float(ck)
         return acc
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for ck in reversed(self.coeffs):
-            acc *= z
-            acc += float(ck)
-        return acc
-
 
 def stability_polynomial(tab: Tableau) -> StabilityPolynomial:
     """Exact coefficients: coeffs[0] = 1 and coeffs[k] = b . A^(k-1) . 1.
@@ -84,7 +77,11 @@ def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
 
 
 def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -> np.ndarray:
-    return np.exp(z2.real) * np.abs(phi.eval_many(z))
+    acc = np.zeros_like(np.asarray(z, dtype=complex))
+    for ck in reversed(phi.coeffs):
+        acc *= z
+        acc += float(ck)
+    return np.exp(z2.real) * np.abs(acc)
 
 
 _N_SCAN = 512  # scan intervals per ray

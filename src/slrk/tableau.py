@@ -18,19 +18,7 @@ import numpy as np
 
 
 class TableauParseError(ValueError):
-    """Base class for tableau text-format errors."""
-
-
-class MalformedRationalError(TableauParseError):
-    """A token is not a valid rational (bad syntax or zero denominator)."""
-
-
-class ExplicitnessError(TableauParseError):
-    """The a matrix has entries on or above the diagonal."""
-
-
-class DimensionError(TableauParseError):
-    """Row or vector lengths do not match the declared stage count."""
+    """Tableau text that does not follow the text format of parse_tableau."""
 
 
 def _rat(x) -> Fraction:
@@ -190,10 +178,9 @@ def abscissa_grid(c, delta_c=None) -> tuple[Fraction, tuple[int, ...]]:
 
 def _parse_rational(token: str) -> Fraction:
     try:
-        f = Fraction(token)
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedRationalError(f"bad rational token {token!r}") from exc
-    return f
+        raise TableauParseError(f"bad rational token {token!r}") from exc
 
 
 def parse_tableau(text: str) -> Tableau:
@@ -209,7 +196,7 @@ def parse_tableau(text: str) -> Tableau:
     def next_line():
         nonlocal idx
         if idx >= len(lines):
-            raise DimensionError("unexpected end of tableau text")
+            raise TableauParseError("unexpected end of tableau text")
         line = lines[idx]
         idx += 1
         return line
@@ -222,26 +209,25 @@ def parse_tableau(text: str) -> Tableau:
     except ValueError as exc:
         raise TableauParseError(f"bad stage count {header[1]!r}") from exc
     if s < 1:
-        raise DimensionError(f"stage count must be >= 1, got {s}")
+        raise TableauParseError(f"stage count must be >= 1, got {s}")
 
     rows = []
     for i in range(s):
         tokens = next_line().split()
         if tokens and tokens[0] == "b:":
-            raise DimensionError(f"only {i} of {s} a rows before the b line")
+            raise TableauParseError(f"only {i} of {s} a rows before the b line")
         if len(tokens) > i:
-            raise ExplicitnessError(
-                f"row {i + 1} has {len(tokens)} entries; explicit schemes allow {i}"
-            )
+            raise TableauParseError(f"row {i + 1} has {len(tokens)} entries; "
+                                    f"explicit schemes allow {i}")
         if len(tokens) < i:
-            raise DimensionError(f"row {i + 1} has {len(tokens)} entries, expected {i}")
+            raise TableauParseError(f"row {i + 1} has {len(tokens)} entries, expected {i}")
         rows.append([_parse_rational(tok) for tok in tokens])
 
     b_line = next_line().split()
     if not b_line or b_line[0] != "b:":
         raise TableauParseError("expected 'b:' line after the a rows")
     if len(b_line) - 1 != s:
-        raise DimensionError(f"b line has {len(b_line) - 1} entries, expected {s}")
+        raise TableauParseError(f"b line has {len(b_line) - 1} entries, expected {s}")
     b = [_parse_rational(tok) for tok in b_line[1:]]
 
     name = ""
@@ -258,18 +244,12 @@ def parse_tableau(text: str) -> Tableau:
     return _tableau_from_rows(rows, b, name)
 
 
-def _format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def serialize_tableau(t: Tableau) -> str:
     """Render a tableau in the text format; parse(serialize(t)) == t."""
     lines = [f"stages {t.s}"]
     for i in range(t.s):
-        lines.append(" ".join(_format_rational(t.a[i][j]) for j in range(i)))
-    lines.append("b: " + " ".join(_format_rational(x) for x in t.b))
+        lines.append(" ".join(str(t.a[i][j]) for j in range(i)))
+    lines.append("b: " + " ".join(str(x) for x in t.b))
     if t.name:
         lines.append(f"name: {t.name}")
     return "\n".join(lines) + "\n"

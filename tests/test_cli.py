@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slrk.cli import main, read_snapshot
+from slrk.cli import main
 from slrk.tableau import rk4_tableau, rk6_tableau, serialize_tableau
 
 
@@ -121,6 +121,7 @@ def test_verify_order_out_of_range(capsys):
     (["--dc", "1/2", "--seed", "-1"], "rng_seed must be >= 0"),
     # rejected before the search, which would write a converged seed's tableau first
     (["--dc", "1/2", "--max-denominator", "0"], "--max-denominator must be >= 1"),
+    (["--dc", "1/2", "--order", "11"], "target_order"),
 ])
 def test_search_rejects_bad_config_as_usage_error(tmp_path, capsys, bad, message):
     out = tmp_path / "run"
@@ -163,6 +164,14 @@ def test_ns_converge_cli(tmp_path, capsys):
     slopes = (tmp_path / "conv_slopes.csv").read_text().splitlines()
     assert slopes[0] == "scheme,fitted_slope,fit_points"
     assert (tmp_path / "conv_manifest.json").exists()
+
+
+def read_snapshot(path: Path) -> tuple[np.ndarray, float]:
+    """An ns-run snapshot: the lines "n <n>" and "time <t>", then n*n float64s."""
+    raw = path.read_bytes()
+    n_line, t_line, data = raw.split(b"\n", 2)
+    n = int(n_line.split()[1])
+    return np.frombuffer(data, dtype=np.float64).reshape(n, n), float(t_line.split()[1])
 
 
 def test_ns_run_snapshot_round_trip(tmp_path):
@@ -210,6 +219,23 @@ def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message
     assert message in err
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the first step (to t = 50) stays finite; the second chunk's only step blows up
+    (["ns-run", "--n", "16", "--t", "100", "--steps", "2", "--every", "1", "--out", "w.bin"],
+     "ns-run: non-finite slope at stage 2 in step 2, t = 100"),
+    (["ns-converge", "--n", "16", "--t", "100", "--steps", "1,2", "--ref", "8", "--out", "c.csv"],
+     "ns-converge: non-finite slope at stage 3 in step 2, t = 25"),
+    (["integrate", "--problem", "ns", "--n", "16", "--tableau", "rk6", "--h", "50", "--steps", "2",
+      "--out", "ns.json"],
+     "integrate: non-finite slope at stage 2 in step 2, t = 100"),
+])
+def test_blow_up_is_one_line_naming_step_and_time(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not list(tmp_path.glob("*manifest*"))
 
 
 def assert_usage_error(tmp_path, capsys, code, message):

@@ -189,6 +189,7 @@ def test_config_validation():
     ({"residual_tol": float("nan")}, "residual_tol must be > 0"),
     ({"stages": 4, "target_order": 2, "delta_c": Fraction(1, 2)},
      "final abscissa 3/2 is not a whole number"),
+    ({"target_order": 11}, "target_order"),
 ])
 def test_config_rejects_bad_iteration_settings(bad, message):
     kw = {"stages": 3, "target_order": 3, "delta_c": Fraction(1, 3), **bad}
@@ -256,6 +257,21 @@ def test_newton_step_first_iteration_regression_statistic():
         before, after = first_newton_step(x, cfg)
         good += after <= before
     assert good >= 80
+
+
+@pytest.mark.parametrize("cfg", [
+    rk6_config(),
+    SearchConfig(stages=7, target_order=6, delta_c=Fraction(1, 6),
+                 c_pattern=uniform_c_pattern(7, Fraction(1, 6))),
+    rk6_config(max_iters=7),
+], ids=["s8", "s7", "max_iters7"])
+def test_history_falls_strictly(cfg):
+    # search's stall test reads two history entries in place of two window minima
+    for result in multi_start_search(cfg, 10):
+        history = result.history
+        if result.status == "stalled" and history[-2:-1] == history[-1:]:
+            history = history[:-1]  # the stop where no trial step was accepted
+        assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
 
 def test_search_determinism():

@@ -7,10 +7,8 @@ from fractions import Fraction
 import pytest
 
 from slrk.tableau import (
-    DimensionError,
-    ExplicitnessError,
-    MalformedRationalError,
     Tableau,
+    TableauParseError,
     abscissa_grid,
     euler_tableau,
     heun3_tableau,
@@ -140,29 +138,38 @@ def test_round_trip(make):
 def test_serialize_rk4_b_line():
     text = serialize_tableau(rk4_tableau())
     assert "b: 1/6 1/3 1/3 1/6" in text
+    # whole texts: integers print bare, negatives carry their sign, a zero prints as 0
+    assert serialize_tableau(rk6_tableau()) == (
+        "stages 8\n\n1/6\n1/12 1/12\n0 -4/33 5/11\n-1/4 -29/44 31/22 0\n"
+        "3/11 8/33 -4/11 1/11 14/33\n-17/48 -5/12 1 1 -13/12 11/16\n"
+        "20/39 4/13 -31/39 -1/39 34/39 -11/39 16/39\n"
+        "b: 13/200 0 4/25 11/40 0 11/40 4/25 13/200\nname: rk6\n")
+    mixed = Tableau(((0, 0, 0), (Fraction(-3, 4), 0, 0), (2, 0, 0)),
+                    (Fraction(-1, 6), 0, 5), name="mixed")
+    assert serialize_tableau(mixed) == "stages 3\n\n-3/4\n2 0\nb: -1/6 0 5\nname: mixed\n"
 
 
 def test_parse_malformed_rational():
     text = "stages 2\n\n1/0\nb: 1/2 1/2\n"
-    with pytest.raises(MalformedRationalError):
+    with pytest.raises(TableauParseError, match="^bad rational token '1/0'$"):
         parse_tableau(text)
-    with pytest.raises(MalformedRationalError):
+    with pytest.raises(TableauParseError, match="^bad rational token 'x'$"):
         parse_tableau("stages 2\n\nx\nb: 1/2 1/2\n")
 
 
 def test_parse_explicitness_error():
     # row 1 would put a nonzero at a[0][0] / a[0][1]
     text = "stages 2\n1/2 1/2\n1/2\nb: 1/2 1/2\n"
-    with pytest.raises(ExplicitnessError):
+    with pytest.raises(TableauParseError, match="^row 1 has 2 entries; explicit schemes allow 0$"):
         parse_tableau(text)
 
 
 def test_parse_dimension_errors():
-    with pytest.raises(DimensionError):
+    with pytest.raises(TableauParseError, match="^only 2 of 3 a rows before the b line$"):
         parse_tableau("stages 3\n\n1/2\nb: 1 0 0\n")  # row 3 missing
-    with pytest.raises(DimensionError):
+    with pytest.raises(TableauParseError, match="^b line has 3 entries, expected 2$"):
         parse_tableau("stages 2\n\n1/2\nb: 1/2 1/2 0\n")  # b too long
-    with pytest.raises(DimensionError):
+    with pytest.raises(TableauParseError, match="^row 3 has 1 entries, expected 2$"):
         parse_tableau("stages 3\n\n1/2\n0\nb: 1 0 0\n")  # row 3 has 1 entry, needs 2
 
 
