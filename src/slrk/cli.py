@@ -152,6 +152,7 @@ def cmd_search(args, run: _Run) -> int:
             "seed_index": idx,
             "rng_seed": res.rng_seed,
             "status": res.status,
+            "reason": res.reason,
             "iterations": len(res.history) - 1,
             "final_residual": res.history[-1],
         }
@@ -405,12 +406,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_merge_complex_values(list(argv)))
     run = _Run()
     t0 = time.perf_counter()
+    error = None
     try:
         code = args.func(args, run)
     except (_UsageError, NonFiniteStateError) as exc:  # a blow-up exits 1, as a traceback would
-        print(f"{args.subcommand}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if run.outputs:
+        error = f"{args.subcommand}: {exc}"
+        print(error, file=sys.stderr)
+        code = USAGE_ERROR
+    if run.outputs:  # a usage error writes nothing; a blow-up may follow written snapshots
         out = Path(args.out)
         manifest = {
             "subcommand": args.subcommand,
@@ -421,6 +424,8 @@ def main(argv=None) -> int:
             "outputs": run.outputs,
             "duration_s": time.perf_counter() - t0,
         }
+        if error is not None:
+            manifest["error"] = error
         # search's --out is a stem that may contain dots, like its other outputs' names
         stem = out.name if args.subcommand == "search" else out.stem
         out.with_name(f"{stem}_manifest.json").write_text(

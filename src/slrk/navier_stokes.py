@@ -233,7 +233,9 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts
     log-log slope fit uses points that are finite, below 1% of the
     reference field amplitude (past the pre-asymptotic regime), and above
     ten times the smallest error in the table (the empirical floor). Every
-    run steps one problem from one initial state.
+    run steps one problem from one initial state. A tested run that blows
+    up records a NaN error; a blow-up of the reference run raises a
+    NonFiniteStateError that names it.
     """
     if sorted(step_counts) != list(step_counts) or len(set(step_counts)) != len(step_counts):
         raise ValueError("step_counts must be strictly increasing")
@@ -250,7 +252,11 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts
         plan = make_plan(problem, tableau, t_final / n_steps)
         return vorticity_field(integrate(plan, w0, n_steps))
 
-    w_ref = final_vorticity(rk6_tableau(), reference_steps)
+    try:
+        w_ref = final_vorticity(rk6_tableau(), reference_steps)
+    except NonFiniteStateError as err:
+        message = f"rk6 reference run ({reference_steps} steps) blew up: {err}"
+        raise NonFiniteStateError(message) from err
     ref_scale = float(np.max(np.abs(w_ref)))
 
     cells = []

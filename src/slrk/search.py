@@ -19,9 +19,11 @@ tiny singular values away from noise level; a plain truncated
 pseudoinverse takes enormous steps along those directions and strands
 the iteration in least-squares local minima. The pseudoinverse is
 therefore Tikhonov-filtered (sigma / (sigma^2 + lambda^2) in place of
-1/sigma) with the regularization lambda adapted multiplicatively on
-step acceptance, Levenberg-Marquardt style, on top of the hard
-relative cutoff.
+1/sigma) on top of the hard relative cutoff, with the regularization
+lambda adapted Levenberg-Marquardt style: from one SVD an iteration
+tries lambda, 4 lambda, 16 lambda, ... up to a ceiling, scoring the
+trial steps in rounds of 2, 4, 8, ... with one residual batch per
+round, and the next iteration starts from the accepted lambda / 3.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ class FloatTableau(NamedTuple):
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # converged | stalled | diverged
+    # the rule that stopped the seed: residual_tol (converged), divergence_norm
+    # (diverged), or max_iters, stall_window, lambda_ceiling, linalg_error (stalled)
+    reason: str
     tableau: FloatTableau | None
     history: tuple[float, ...]
     rng_seed: int = 0
@@ -213,11 +218,11 @@ def _filtered_step(svd, f: np.ndarray, reg_lambda: float) -> np.ndarray:
 def search(cfg: SearchConfig) -> SearchResult:
     """Iterate from one Gaussian initial guess until convergence or give-up.
 
-    Steps that fail to reduce the residual norm are rejected: the
-    regularization is grown and the step retried from the same point
-    (reusing the SVD), up to the lambda ceiling. One iteration means one
-    Jacobian evaluation; the residual is evaluated once at the start and
-    once per trial step, and an accepted trial's residual is reused.
+    Each iteration forms one Jacobian and its SVD and takes the first trial
+    step, in lambda order, that lowers the residual norm. The trial steps
+    are scored in rounds of 2, 4, 8, ..., one residual batch per round; a
+    batch row is bit for bit its batch-1 value, so the history does not
+    depend on the round sizes.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     x = INIT_SCALE * rng.standard_normal(cfg.n_unknowns)
@@ -226,38 +231,46 @@ def search(cfg: SearchConfig) -> SearchResult:
     reg_lambda = LAMBDA_INIT
     history = [resid]
 
-    def stop(status: str) -> SearchResult:
+    def stop(status: str, reason: str) -> SearchResult:
         tableau = unpack(x, cfg.stages) if status == "converged" else None
-        return SearchResult(status, tableau, tuple(history), cfg.rng_seed)
+        return SearchResult(status, reason, tableau, tuple(history), cfg.rng_seed)
 
     while True:
         if resid <= cfg.residual_tol:
-            return stop("converged")
+            return stop("converged", "residual_tol")
         if np.linalg.norm(x) > DIVERGENCE_NORM:
-            return stop("diverged")
+            return stop("diverged", "divergence_norm")
         if len(history) > cfg.max_iters:
-            return stop("stalled")
+            return stop("stalled", "max_iters")
         # Every step recorded so far was accepted and lowered the residual strictly, so
         # history[-1] is the window's minimum and history[-STALL_WINDOW - 1] the one before it.
         if len(history) > STALL_WINDOW and history[-1] > STALL_FACTOR * history[-STALL_WINDOW - 1]:
-            return stop("stalled")
+            return stop("stalled", "stall_window")
         try:
             svd = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
         except np.linalg.LinAlgError:
-            return stop("stalled")
+            return stop("stalled", "linalg_error")
         gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else DAMPING
+        lambdas = []
         while reg_lambda <= LAMBDA_MAX:
-            x_new = x - gamma * _filtered_step(svd, f, reg_lambda)
-            f_new = residual_vector(x_new, cfg)
-            norm_new = float(np.linalg.norm(f_new, np.inf))
-            if norm_new < resid:
-                x, f, resid = x_new, f_new, norm_new
-                reg_lambda = max(reg_lambda / LAMBDA_SHRINK, LAMBDA_MIN)
-                break
+            lambdas.append(reg_lambda)
             reg_lambda *= LAMBDA_GROW
+        start, size = 0, 2
+        while start < len(lambdas):
+            trial = lambdas[start:start + size]
+            xs = np.stack([x - gamma * _filtered_step(svd, f, lam) for lam in trial])
+            fs = _residual_batch(xs, cfg)
+            norms = np.abs(fs).max(axis=1)
+            lower = np.flatnonzero(norms < resid)
+            if lower.size:
+                k = lower[0]
+                x, f, resid = xs[k], fs[k], float(norms[k])
+                reg_lambda = max(trial[k] / LAMBDA_SHRINK, LAMBDA_MIN)
+                break
+            start, size = start + size, 2 * size
         else:  # no trial was accepted
             history.append(resid)
-            return stop("stalled")
+            return stop("stalled", "lambda_ceiling")
         history.append(resid)
 
 

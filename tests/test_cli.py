@@ -90,6 +90,8 @@ def test_search_cli_writes_tableaux_and_summary(tmp_path, capsys):
     summary = json.loads((tmp_path / "run_summary.json").read_text())
     assert len(summary["seeds"]) == 6
     assert summary["converged"] >= 1
+    for seed in summary["seeds"]:  # every stop is named by the rule that made it
+        assert (seed["status"] == "converged") == (seed["reason"] == "residual_tol")
     float_tabs = list(tmp_path.glob("run_seed*_float.tab"))
     assert float_tabs
     # float tableaux round-trip through the rational text format and, with
@@ -225,8 +227,10 @@ def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message
     # the first step (to t = 50) stays finite; the second chunk's only step blows up
     (["ns-run", "--n", "16", "--t", "100", "--steps", "2", "--every", "1", "--out", "w.bin"],
      "ns-run: non-finite slope at stage 2 in step 2, t = 100"),
+    # the rk6 reference run of 8 steps blows up before any tested run
     (["ns-converge", "--n", "16", "--t", "100", "--steps", "1,2", "--ref", "8", "--out", "c.csv"],
-     "ns-converge: non-finite slope at stage 3 in step 2, t = 25"),
+     "ns-converge: rk6 reference run (8 steps) blew up: non-finite slope at stage 3 in step 2, "
+     "t = 25"),
     (["integrate", "--problem", "ns", "--n", "16", "--tableau", "rk6", "--h", "50", "--steps", "2",
       "--out", "ns.json"],
      "integrate: non-finite slope at stage 2 in step 2, t = 100"),
@@ -235,7 +239,20 @@ def test_blow_up_is_one_line_naming_step_and_time(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     assert capsys.readouterr().err == message + "\n"
-    assert not list(tmp_path.glob("*manifest*"))
+    if argv[0] != "ns-run":  # the one that writes before it blows up
+        assert not list(tmp_path.iterdir())
+
+
+def test_ns_run_blow_up_writes_a_manifest_of_the_snapshots_before_it(tmp_path, capsys):
+    out = tmp_path / "w.bin"
+    argv = ["ns-run", "--n", "16", "--t", "100", "--steps", "2", "--every", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "ns-run: non-finite slope at stage 2 in step 2, t = 100\n"
+    manifest = json.loads((tmp_path / "w_manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "w_step1.bin")]
+    assert manifest["error"] == err.rstrip("\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w_manifest.json", "w_step1.bin"]
 
 
 def assert_usage_error(tmp_path, capsys, code, message):

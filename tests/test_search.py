@@ -1,6 +1,7 @@
 """Newton search: residuals, Jacobian, stepping, rationalization."""
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -10,10 +11,19 @@ import pytest
 
 from slrk.search import (
     DAMPING,
+    DIVERGENCE_NORM,
+    INIT_SCALE,
+    LAMBDA_GROW,
     LAMBDA_INIT,
+    LAMBDA_MAX,
+    LAMBDA_MIN,
+    LAMBDA_SHRINK,
     QUADRATIC_PHASE_NORM,
+    STALL_FACTOR,
+    STALL_WINDOW,
     FloatTableau,
     SearchConfig,
+    SearchResult,
     _filtered_step,
     jacobian,
     multi_start_search,
@@ -35,6 +45,11 @@ def rk6_config(**kw):
     t6 = rk6_tableau()
     return SearchConfig(stages=8, target_order=6, delta_c=Fraction(1, 6),
                         c_pattern=tuple(t6.c), **kw)
+
+
+def s7_config(**kw):
+    return SearchConfig(stages=7, target_order=6, delta_c=Fraction(1, 6),
+                        c_pattern=uniform_c_pattern(7, Fraction(1, 6)), **kw)
 
 
 def rk6_packed():
@@ -126,14 +141,116 @@ def test_rk6_float_residuals_match_exact_order_residuals():
     assert np.max(np.abs(f[:37] - exact)) <= 1e-15
 
 
+@pytest.mark.parametrize("stages", [7, 8])
+def test_residual_batch_rows_equal_residual_vector_at_small_batches(stages):
+    # search() scores its trial steps in batches of this size and reads each row
+    # as the residual of one step
+    cfg = rk6_config() if stages == 8 else s7_config()
+    rng = np.random.default_rng(40 + stages)
+    for nbatch in range(1, 9):
+        for scale in (1e-3, 0.5, 3.0):
+            xs = scale * rng.standard_normal((nbatch, cfg.n_unknowns))
+            batch = search_module._residual_batch(xs, cfg)
+            for x, row in zip(xs, batch):
+                assert np.array_equal(row, residual_vector(x, cfg))
+
+
+def sequential_search(cfg):
+    """The 0.14.0 search loop, one residual_vector call per trial step: the rounds' reference.
+
+    Also returns, per iteration that formed an SVD, how many trial steps it
+    tried and how many lay below the lambda ceiling.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    x = INIT_SCALE * rng.standard_normal(cfg.n_unknowns)
+    f = residual_vector(x, cfg)
+    resid = float(np.linalg.norm(f, np.inf))
+    reg_lambda = LAMBDA_INIT
+    history = [resid]
+    trials = []
+
+    def stop(status, reason):
+        tableau = unpack(x, cfg.stages) if status == "converged" else None
+        return SearchResult(status, reason, tableau, tuple(history), cfg.rng_seed), trials
+
+    while True:
+        if resid <= cfg.residual_tol:
+            return stop("converged", "residual_tol")
+        if np.linalg.norm(x) > DIVERGENCE_NORM:
+            return stop("diverged", "divergence_norm")
+        if len(history) > cfg.max_iters:
+            return stop("stalled", "max_iters")
+        if len(history) > STALL_WINDOW and history[-1] > STALL_FACTOR * history[-STALL_WINDOW - 1]:
+            return stop("stalled", "stall_window")
+        try:
+            svd = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
+        except np.linalg.LinAlgError:
+            return stop("stalled", "linalg_error")
+        gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else DAMPING
+        offered, lam = 0, reg_lambda
+        while lam <= LAMBDA_MAX:
+            offered, lam = offered + 1, lam * LAMBDA_GROW
+        tried = 0
+        while reg_lambda <= LAMBDA_MAX:
+            tried += 1
+            x_new = x - gamma * _filtered_step(svd, f, reg_lambda)
+            f_new = residual_vector(x_new, cfg)
+            norm_new = float(np.linalg.norm(f_new, np.inf))
+            if norm_new < resid:
+                x, f, resid = x_new, f_new, norm_new
+                reg_lambda = max(reg_lambda / LAMBDA_SHRINK, LAMBDA_MIN)
+                break
+            reg_lambda *= LAMBDA_GROW
+        else:
+            trials.append((tried, offered))
+            history.append(resid)
+            return stop("stalled", "lambda_ceiling")
+        trials.append((tried, offered))
+        history.append(resid)
+
+
+def assert_same_result(got, want):
+    assert (got.status, got.reason, got.history, got.rng_seed) == \
+        (want.status, want.reason, want.history, want.rng_seed)
+    if want.tableau is None:
+        assert got.tableau is None
+    else:
+        assert np.array_equal(got.tableau.a, want.tableau.a)
+        assert np.array_equal(got.tableau.b, want.tableau.b)
+
+
+@pytest.mark.parametrize("cfg", [
+    rk6_config(rng_seed=5),
+    s7_config(rng_seed=5),
+    rk6_config(rng_seed=5, max_iters=7),
+    SearchConfig(stages=4, target_order=4, delta_c=Fraction(1, 2), rng_seed=5,
+                 c_pattern=(Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1))),
+], ids=["s8", "s7", "max_iters7", "s4"])
+def test_search_equals_the_sequential_trial_loop(cfg):
+    results = multi_start_search(cfg, 20)
+    for got in results:
+        want, _ = sequential_search(replace(cfg, rng_seed=got.rng_seed))
+        assert_same_result(got, want)
+    if cfg.stages >= 7 and cfg.max_iters > 7:
+        assert any(r.reason == "lambda_ceiling" for r in results)
+
+
+def trial_rounds(tried, offered):
+    """Batch sizes of the rounds of 2, 4, 8, ... that reach the tried-th of `offered` steps."""
+    sizes, start, size = [], 0, 2
+    while start < tried:
+        sizes.append(min(size, offered - start))
+        start, size = start + size, 2 * size
+    return sizes
+
+
 @pytest.mark.parametrize("stages,rng_seed", [(8, 1), (8, 2), (7, 3)])
 def test_search_evaluates_residual_once_per_trial_step(monkeypatch, stages, rng_seed):
-    if stages == 8:
-        cfg = rk6_config(rng_seed=rng_seed, max_iters=60)
-    else:
-        cfg = SearchConfig(stages=7, target_order=6, delta_c=Fraction(1, 6),
-                           rng_seed=rng_seed, max_iters=60)
+    cfg = rk6_config if stages == 8 else s7_config
+    cfg = cfg(rng_seed=rng_seed, max_iters=60)
+    reference, trials = sequential_search(cfg)
     counts = {"residual": 0, "trial": 0, "jacobian": 0}
+    batches = []
 
     def counting(name, fn):
         def wrapped(*args):
@@ -141,6 +258,12 @@ def test_search_evaluates_residual_once_per_trial_step(monkeypatch, stages, rng_
             return fn(*args)
         return wrapped
 
+    def recording(xs, cfg):
+        batches.append(len(xs))
+        return batch(xs, cfg)
+
+    batch = search_module._residual_batch
+    monkeypatch.setattr(search_module, "_residual_batch", recording)
     monkeypatch.setattr(search_module, "residual_vector",
                         counting("residual", search_module.residual_vector))
     monkeypatch.setattr(search_module, "_filtered_step",
@@ -148,10 +271,38 @@ def test_search_evaluates_residual_once_per_trial_step(monkeypatch, stages, rng_
     monkeypatch.setattr(search_module, "jacobian",
                         counting("jacobian", search_module.jacobian))
     result = search(cfg)
+    assert_same_result(result, reference)
     iterations = len(result.history) - 1
+    rounds = [trial_rounds(tried, offered) for tried, offered in trials]
+    assert any(len(r) > 1 for r in rounds)  # some first rounds were all rejected
     assert counts["jacobian"] == iterations
-    assert counts["trial"] > iterations  # some trial steps were rejected
-    assert counts["residual"] == 1 + counts["trial"]
+    assert counts["residual"] == 1  # at the start only; it evaluates a batch of 1
+    # the start, then per iteration the Jacobian's batch and one batch per trial round
+    assert batches == [1] + [size for r in rounds for size in [2 * cfg.n_unknowns] + r]
+    assert len(batches) == 1 + iterations + sum(map(len, rounds))
+    assert counts["trial"] == sum(map(sum, rounds))  # one step formed per candidate row
+
+
+def test_each_stop_reason_is_reachable(monkeypatch):
+    assert search(rk6_config(max_iters=0)).reason == "max_iters"
+    stalled = multi_start_search(s7_config(), 10)
+    assert {r.status for r in stalled} == {"stalled"}
+    assert {r.reason for r in stalled} == {"stall_window", "lambda_ceiling"}
+    order4 = SearchConfig(stages=4, target_order=4, delta_c=Fraction(1, 2), rng_seed=11,
+                          c_pattern=(Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)))
+    converged = [r for r in multi_start_search(order4, 4) if r.status == "converged"]
+    assert converged and {r.reason for r in converged} == {"residual_tol"}
+    monkeypatch.setattr(search_module, "INIT_SCALE", 1e7)  # starts beyond DIVERGENCE_NORM
+    result = search(rk6_config())
+    assert (result.status, result.reason) == ("diverged", "divergence_norm")
+    monkeypatch.undo()
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    result = search(rk6_config())
+    assert (result.status, result.reason, len(result.history)) == ("stalled", "linalg_error", 1)
 
 
 def test_residual_at_zero_vector():
@@ -200,7 +351,7 @@ def test_config_rejects_bad_iteration_settings(bad, message):
 def test_config_allows_zero_iterations():
     cfg = rk6_config(max_iters=0)
     result = search(cfg)
-    assert result.status == "stalled"
+    assert (result.status, result.reason) == ("stalled", "max_iters")
     assert len(result.history) == 1
 
 
@@ -260,10 +411,7 @@ def test_newton_step_first_iteration_regression_statistic():
 
 
 @pytest.mark.parametrize("cfg", [
-    rk6_config(),
-    SearchConfig(stages=7, target_order=6, delta_c=Fraction(1, 6),
-                 c_pattern=uniform_c_pattern(7, Fraction(1, 6))),
-    rk6_config(max_iters=7),
+    rk6_config(), s7_config(), rk6_config(max_iters=7),
 ], ids=["s8", "s7", "max_iters7"])
 def test_history_falls_strictly(cfg):
     # search's stall test reads two history entries in place of two window minima
