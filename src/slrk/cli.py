@@ -91,8 +91,8 @@ def _parse_complex(flag: str, text: str) -> complex:
 
 
 def _checked(build, *args):
-    """build(*args), its ValueError a usage error; only for builders that check
-    their input before any work (make_plan, make_grid, make_problem, linear_operator)."""
+    """build(*args), its ValueError a usage error; only for builders that check their input
+    before any work (make_plan, make_grid, make_problem, linear_operator, region_boundary)."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -191,14 +191,14 @@ def cmd_stability(args, run: _Run) -> int:
     if args.samples < 16:
         raise _UsageError(f"--samples must be >= 16, got {args.samples}")
     out = Path(args.out)
-    curves = [(args.tableau, out)]
+    curves = [(_tableau(args.tableau), out)]
     if args.compare_rk4_rk6:
-        curves = [("rk4", out.with_name(f"{out.stem}_rk4{out.suffix}")),
-                  ("rk6", out.with_name(f"{out.stem}_rk6{out.suffix}"))]
-    curves = [(_tableau(tab_name), path) for tab_name, path in curves]
-    for tab, path in curves:
-        phi = stability_polynomial(tab)
-        boundary = region_boundary(phi, z2, args.samples)
+        curves = [(_tableau("rk4"), out.with_name(f"{out.stem}_rk4{out.suffix}")),
+                  (_tableau("rk6"), out.with_name(f"{out.stem}_rk6{out.suffix}"))]
+    # every boundary before any file, as only one of them may overflow
+    boundaries = [(_checked(region_boundary, stability_polynomial(tab), z2, args.samples), path)
+                  for tab, path in curves]
+    for boundary, path in boundaries:
         lines = ["re(z),im(z)"]
         lines += [f"{z.real:.12g},{z.imag:.12g}" for z in boundary.points]
         run.write(path, "\n".join(lines) + "\n")

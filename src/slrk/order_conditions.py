@@ -62,32 +62,24 @@ LEAF = RootedTree()
 
 @lru_cache(maxsize=None)
 def _trees_of_order(n: int) -> tuple[RootedTree, ...]:
+    """Trees of n nodes by level sequence, one root over each multiset of smaller trees."""
     if n == 1:
         return (LEAF,)
-    trees = {RootedTree(forest) for forest in _forests(n - 1)}
-    return tuple(sorted(trees, key=RootedTree.level_sequence))
-
-
-@lru_cache(maxsize=None)
-def _forests(total: int) -> tuple[tuple[RootedTree, ...], ...]:
-    """All multisets of trees with orders summing to `total`."""
-    pool = [t for k in range(1, total + 1) for t in _trees_of_order(k)]
-    out = []
+    pool = [t for k in range(1, n) for t in _trees_of_order(k)]
+    trees = []
 
     def extend(prefix, remaining, start):
         if remaining == 0:
-            out.append(tuple(prefix))
+            trees.append(RootedTree(tuple(prefix)))
             return
-        for i in range(start, len(pool)):
-            t = pool[i]
-            if t.order > remaining:
-                continue
-            prefix.append(t)
-            extend(prefix, remaining - t.order, i)
-            prefix.pop()
+        for i, t in enumerate(pool[start:], start):
+            if t.order <= remaining:
+                prefix.append(t)
+                extend(prefix, remaining - t.order, i)
+                prefix.pop()
 
-    extend([], total, 0)
-    return tuple(out)
+    extend([], n - 1, 0)
+    return tuple(sorted(trees, key=RootedTree.level_sequence))
 
 
 def enumerate_trees(max_order: int) -> list[RootedTree]:

@@ -204,25 +204,14 @@ def jacobian(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     return ((f[:dim] - f[dim:]) / (2.0 * h[:, None])).T
 
 
-def _filtered_step(svd, f: np.ndarray, reg_lambda: float) -> np.ndarray:
-    """Regularized pseudoinverse applied to f from a precomputed SVD."""
-    u, sigma, vt = svd
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros(vt.shape[1])
-    keep = sigma >= PINV_RCOND * sigma[0]
-    lam = reg_lambda * sigma[0]
-    gains = sigma[keep] / (sigma[keep] ** 2 + lam ** 2)
-    return vt[keep].T @ (gains * (u[:, keep].T @ f))
-
-
 def search(cfg: SearchConfig) -> SearchResult:
     """Iterate from one Gaussian initial guess until convergence or give-up.
 
-    Each iteration forms one Jacobian and its SVD and takes the first trial
-    step, in lambda order, that lowers the residual norm. The trial steps
-    are scored in rounds of 2, 4, 8, ..., one residual batch per round; a
-    batch row is bit for bit its batch-1 value, so the history does not
-    depend on the round sizes.
+    Each iteration forms one Jacobian, its SVD and the filter's lambda-free
+    parts, then takes the first trial step, in lambda order, that lowers the
+    residual norm. The trial steps are scored in rounds of 2, 4, 8, ..., one
+    residual batch per round; a batch row is bit for bit its batch-1 value,
+    so the history does not depend on the round sizes.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     x = INIT_SCALE * rng.standard_normal(cfg.n_unknowns)
@@ -247,9 +236,12 @@ def search(cfg: SearchConfig) -> SearchResult:
         if len(history) > STALL_WINDOW and history[-1] > STALL_FACTOR * history[-STALL_WINDOW - 1]:
             return stop("stalled", "stall_window")
         try:
-            svd = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
+            u, sigma, vt = np.linalg.svd(jacobian(x, cfg), full_matrices=False)
         except np.linalg.LinAlgError:
             return stop("stalled", "linalg_error")
+        # sigma[0] >= 1, so no zero-SVD guard: J's leaf-tree row d(sum(b) - 1)/db is s ones
+        keep = sigma >= PINV_RCOND * sigma[0]
+        kept, uf, vk = sigma[keep], u[:, keep].T @ f, vt[keep].T
         gamma = 1.0 if resid < QUADRATIC_PHASE_NORM else DAMPING
         lambdas = []
         while reg_lambda <= LAMBDA_MAX:
@@ -258,7 +250,8 @@ def search(cfg: SearchConfig) -> SearchResult:
         start, size = 0, 2
         while start < len(lambdas):
             trial = lambdas[start:start + size]
-            xs = np.stack([x - gamma * _filtered_step(svd, f, lam) for lam in trial])
+            xs = np.stack([x - gamma * (vk @ (kept / (kept ** 2 + (lam * sigma[0]) ** 2) * uf))
+                           for lam in trial])
             fs = _residual_batch(xs, cfg)
             norms = np.abs(fs).max(axis=1)
             lower = np.flatnonzero(norms < resid)

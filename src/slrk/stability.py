@@ -72,8 +72,11 @@ def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
     deg = phi.degree
     if deg == 0 or lead == 0.0:
         return 4.0
-    r = (np.exp(-z2.real) / lead) ** (1.0 / deg)
-    return 2.0 * r + 4.0
+    with np.errstate(over="ignore"):
+        bound = 2.0 * (np.exp(-z2.real) / lead) ** (1.0 / deg) + 4.0
+    if not np.isfinite(bound):
+        raise ValueError(f"the stability region at z2 = {z2:g} reaches beyond the float64 range")
+    return bound
 
 
 def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -> np.ndarray:
@@ -154,8 +157,8 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
     """Most negative real z1 with |exp(z2)*Phi| <= 1 on all of [z1, 0].
 
     Scans left from the origin for the first exit of the stable interval,
-    then bisects the crossing to 1e-6. Only Re z2 matters: the imaginary
-    part has no effect on magnitudes.
+    then bisects the crossing to 1e-6, or until no float lies between the
+    ends. Only Re z2 matters: the imaginary part has no effect on magnitudes.
     """
     z2 = complex(z2).real
     if z2 > 0.0:
@@ -172,7 +175,10 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
     lo, hi = xs[first_out - 1], xs[first_out]  # lo stable, hi unstable, lo > hi
     while abs(lo - hi) > 1e-6:
         mid = 0.5 * (lo + hi)
-        if np.exp(z2) * abs(phi(complex(mid))) <= 1.0:
+        stable = np.exp(z2) * abs(phi(complex(mid))) <= 1.0
+        if mid == (lo if stable else hi):
+            break  # no float lies strictly between lo and hi: the bracket cannot shrink
+        if stable:
             lo = mid
         else:
             hi = mid

@@ -191,17 +191,13 @@ def parse_tableau(text: str) -> Tableau:
     s rationals; optionally a ``name:`` line.
     """
     lines = text.splitlines()
-    idx = 0
 
-    def next_line():
-        nonlocal idx
-        if idx >= len(lines):
+    def fields(i):
+        if i >= len(lines):
             raise TableauParseError("unexpected end of tableau text")
-        line = lines[idx]
-        idx += 1
-        return line
+        return lines[i].split()
 
-    header = next_line().split()
+    header = fields(0)
     if len(header) != 2 or header[0] != "stages":
         raise TableauParseError("first line must be 'stages <s>'")
     try:
@@ -213,7 +209,7 @@ def parse_tableau(text: str) -> Tableau:
 
     rows = []
     for i in range(s):
-        tokens = next_line().split()
+        tokens = fields(i + 1)
         if tokens and tokens[0] == "b:":
             raise TableauParseError(f"only {i} of {s} a rows before the b line")
         if len(tokens) > i:
@@ -223,7 +219,7 @@ def parse_tableau(text: str) -> Tableau:
             raise TableauParseError(f"row {i + 1} has {len(tokens)} entries, expected {i}")
         rows.append([_parse_rational(tok) for tok in tokens])
 
-    b_line = next_line().split()
+    b_line = fields(s + 1)
     if not b_line or b_line[0] != "b:":
         raise TableauParseError("expected 'b:' line after the a rows")
     if len(b_line) - 1 != s:
@@ -231,14 +227,10 @@ def parse_tableau(text: str) -> Tableau:
     b = [_parse_rational(tok) for tok in b_line[1:]]
 
     name = ""
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
-        if not line.strip():
-            continue
+    for line in lines[s + 2:]:
         if line.startswith("name:"):
             name = line[len("name:"):].strip()
-        else:
+        elif line.strip():
             raise TableauParseError(f"unexpected trailing line {line!r}")
 
     return _tableau_from_rows(rows, b, name)

@@ -268,6 +268,11 @@ def assert_usage_error(tmp_path, capsys, code, message):
     (["--z2", "abc"], "--z2 expects RE or RE,IM"),
     (["--z2", "nan"], "--z2 must be finite"),
     (["--z2", "inf,0"], "--z2 must be finite"),
+    (["--z2", "-1000,0"],
+     "the stability region at z2 = -1000+0j reaches beyond the float64 range"),
+    # rk4's curve fits at -705 and rk6's does not, so neither file is written
+    (["--compare-rk4-rk6", "--z2", "-705,0"],
+     "the stability region at z2 = -705+0j reaches beyond the float64 range"),
 ])
 def test_stability_rejects_bad_input_as_usage_error(tmp_path, capsys, bad, message):
     out = tmp_path / "sub" / "boundary.csv"
@@ -288,11 +293,22 @@ def test_ns_run_rejects_bad_end_time_as_usage_error(tmp_path, capsys, t):
     ["stability"],
     ["integrate", "--h", "0.1", "--steps", "2"],
     ["ns-run", "--n", "16", "--steps", "2"],
+    pytest.param(["stability", "--compare-rk4-rk6"], id="stability-compare"),
 ], ids=lambda args: args[0])
 def test_unknown_tableau_is_usage_error(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # default output files would land here
     code = main(args + ["--tableau", "nosuch"])
     assert_usage_error(tmp_path, capsys, code, "no tableau file 'nosuch'")
+
+
+def test_malformed_tableau_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.tab"
+    path.write_text("stages 2\n\n1/2\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code = main(["verify", "--order", "4", "--tableau", str(path)])
+    assert_usage_error(work, capsys, code, "verify: --tableau: unexpected end of tableau text")
 
 
 @pytest.mark.parametrize("args,message", [

@@ -461,3 +461,8 @@ def test_non_finite_rhs_aborts_with_diagnostic():
         with pytest.raises(NonFiniteStateError,
                            match=r"^non-finite slope at stage 2 in step 3, t = 0\.3$"):
             integrate(plan, np.ones(1), 5)
+    # every slope is finite, but their weighted sum overflows
+    plan = make_plan(OdeProblem(g=lambda v: np.full_like(v, 1e308), A=None), rk4_tableau(), 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteStateError, match="^non-finite state after step$"):
+            slrk_step(plan, np.array([1e308]))

@@ -1,13 +1,19 @@
 """Stability polynomials, region boundaries, two-timescale amplification."""
 
 import cmath
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slrk
 from slrk.integrator import OdeProblem, make_plan, slrk_step
 from slrk.linop import diagonal_operator
 from slrk.order_conditions import verified_order
@@ -17,7 +23,8 @@ from slrk.stability import (
     region_boundary,
     stability_polynomial,
 )
-from slrk.tableau import Tableau, euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau
+from slrk.tableau import (BUILTIN_TABLEAUX, Tableau, euler_tableau, heun3_tableau, rk4_tableau,
+                          rk6_tableau)
 
 BUILTINS = [euler_tableau, heun3_tableau, rk4_tableau, rk6_tableau]
 # A z2 at which numpy's complex multiply, unlike the scalar Phi, once
@@ -252,6 +259,47 @@ def test_imaginary_part_of_z2_leaves_boundary_unchanged():
 def test_real_axis_boundary_accepts_real_and_complex_z2(z2):
     phi = stability_polynomial(rk4_tableau())
     assert real_axis_boundary(phi, z2) == real_axis_boundary(phi, -2.0)
+
+
+def test_real_axis_boundary_returns_where_floats_are_sparse():
+    # Past |x| ~ 8.6e9 floats lie more than 1e-6 apart, so bisecting to 1e-6 cannot end;
+    # a subprocess with a timeout makes a hang fail the test instead of stalling it.
+    script = """
+import numpy as np
+from slrk.stability import real_axis_boundary, stability_polynomial
+from slrk.tableau import euler_tableau, rk4_tableau
+for make, z2 in ((rk4_tableau, -90.0), (euler_tableau, -30.0)):
+    phi = stability_polynomial(make())
+    x = real_axis_boundary(phi, z2)
+    below = np.nextafter(x, -np.inf)
+    print(x, np.exp(z2) * abs(phi(complex(x))), np.exp(z2) * abs(phi(complex(below))))
+"""
+    src = str(Path(slrk.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True)
+    rows = [list(map(float, line.split())) for line in done.stdout.splitlines()]
+    assert len(rows) == 2
+    for (x, at, below), scale in zip(rows, (1e10, 1e13)):
+        # the crossing lies between two adjacent floats: x stable, the next float below not
+        assert -10 * scale < x < -scale and at <= 1.0 < below
+
+
+@pytest.mark.parametrize("name,z2", [("rk6", -705.0), ("rk6", -1000.0), ("rk4", -708.0),
+                                     ("euler", -710.0)])
+def test_boundary_beyond_float_range_is_an_error(name, z2):
+    phi = stability_polynomial(BUILTIN_TABLEAUX[name]())
+    message = f"the stability region at z2 = {z2:g}+0j reaches beyond the float64 range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        region_boundary(phi, z2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        real_axis_boundary(phi, z2)
+
+
+def test_rk4_boundary_near_the_float_range():
+    # at -705 rk4's bound still fits (rk6's does not): every ray crosses, none at the origin
+    boundary = region_boundary(stability_polynomial(rk4_tableau()), -705.0, 16)
+    assert not boundary.skipped_angles
+    assert np.all(np.abs(boundary.points) > 1e76)
 
 
 def test_positive_z2_rejected():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,13 @@ def test_explicitness_enforced_on_construction():
         Tableau(((0, Fraction(1)), (0, 0)), (Fraction(1, 2), Fraction(1, 2)))
 
 
+def test_shape_enforced_on_construction():
+    with pytest.raises(ValueError, match="^a must be 2x2 to match b of length 2$"):
+        Tableau(((0, 0),), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="^a must be 2x2 to match b of length 2$"):
+        Tableau(((0, 0), (1,)), (Fraction(1, 2), Fraction(1, 2)))
+
+
 def test_floats_rejected_in_constructor():
     with pytest.raises(TypeError):
         Tableau(((0.0,),), (1.0,))
@@ -171,6 +179,23 @@ def test_parse_dimension_errors():
         parse_tableau("stages 2\n\n1/2\nb: 1/2 1/2 0\n")  # b too long
     with pytest.raises(TableauParseError, match="^row 3 has 1 entries, expected 2$"):
         parse_tableau("stages 3\n\n1/2\n0\nb: 1 0 0\n")  # row 3 has 1 entry, needs 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "unexpected end of tableau text"),
+    ("stages 2\n\n", "unexpected end of tableau text"),
+    ("stages 1\n\n", "unexpected end of tableau text"),
+    ("stage 2", "first line must be 'stages <s>'"),
+    ("stages 2 3", "first line must be 'stages <s>'"),
+    ("stages two", "bad stage count 'two'"),
+    ("stages 0", "stage count must be >= 1, got 0"),
+    ("stages 1\n\n1/2", "expected 'b:' line after the a rows"),
+    ("stages 1\n\n\nb: 1", "expected 'b:' line after the a rows"),
+    ("stages 1\n\nb: 1\nname: one\n\nextra", "unexpected trailing line 'extra'"),
+], ids=repr)
+def test_parse_structure_errors(text, message):
+    with pytest.raises(TableauParseError, match=f"^{re.escape(message)}$"):
+        parse_tableau(text)
 
 
 def test_parse_name_line():
