@@ -192,9 +192,9 @@ def cmd_stability(args, run: _Run) -> int:
         raise _UsageError(f"--samples must be >= 16, got {args.samples}")
     out = Path(args.out)
     curves = [(_tableau(args.tableau), out)]
-    if args.compare_rk4_rk6:
-        curves = [(_tableau("rk4"), out.with_name(f"{out.stem}_rk4{out.suffix}")),
-                  (_tableau("rk6"), out.with_name(f"{out.stem}_rk6{out.suffix}"))]
+    if args.compare_rk4_rk6:  # the builtins, whatever files the working directory holds
+        curves = [(BUILTIN_TABLEAUX[name](), out.with_name(f"{out.stem}_{name}{out.suffix}"))
+                  for name in ("rk4", "rk6")]
     # every boundary before any file, as only one of them may overflow
     boundaries = [(_checked(region_boundary, stability_polynomial(tab), z2, args.samples), path)
                   for tab, path in curves]

@@ -7,8 +7,9 @@ exp(z_2)*Phi(z_1) and a purely imaginary z_2 cannot change stability.
 
 The coefficients of Phi come from the tableau scaled to Python ints
 (Tableau.as_integers), one Fraction per coefficient. Region boundaries
-scan blocks of rays on one set of radii and then bisect all crossing
-rays in lockstep, evaluating Phi in separate real and imaginary float
+scan up to 256 rays at a time, 32 radii per pass from the outermost
+inward, each ray leaving at its first stable radius; all crossing rays
+are then bisected in lockstep, in separate real and imaginary float
 arithmetic so that every point has the bits of the scalar Phi(z).
 """
 
@@ -80,15 +81,17 @@ def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
 
 
 def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for ck in reversed(phi.coeffs):
+    # Horner from the leading coefficient: 0*z + c is c up to the sign of a zero.
+    acc = np.full(z.shape, float(phi.coeffs[-1]), dtype=complex)
+    for ck in reversed(phi.coeffs[:-1]):
         acc *= z
         acc += float(ck)
     return np.exp(z2.real) * np.abs(acc)
 
 
 _N_SCAN = 512  # scan intervals per ray
-_RAY_BLOCK = 16  # rays scanned together: a 16 x 513 grid, not the whole fan
+_RAY_BLOCK = 256  # rays per scan, so temporaries stay small whatever angular_samples is
+_RADIUS_BLOCK = 32  # radii per scan pass (64 or 128 ran slower)
 
 
 def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.ndarray,
@@ -101,7 +104,7 @@ def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.n
     |m - 1| <= 1e-10 (taking lo = mid) or after 200 halvings.
     """
     scale = np.exp(z2.real)
-    coeffs = [float(ck) for ck in reversed(phi.coeffs)]
+    lead, *coeffs = [float(ck) for ck in reversed(phi.coeffs)]
     lo, hi = lo.copy(), hi.copy()
     active = np.arange(lo.size)
     for _ in range(200):
@@ -109,7 +112,7 @@ def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.n
             break
         mid = 0.5 * (lo[active] + hi[active])
         x, y = mid * dx[active], mid * dy[active]
-        re = np.zeros_like(mid)
+        re = np.full_like(mid, lead)
         im = np.zeros_like(mid)
         for c in coeffs:
             re, im = re * x - im * y + c, re * y + im * x
@@ -126,9 +129,10 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                     angular_samples: int = 256) -> RegionBoundary:
     """Outermost |exp(z2)*Phi(z)| = 1 crossing along rays from the origin.
 
-    Each ray is scanned inward from a radius bound where the leading term
-    dominates; the outermost sign change is bisected down to a unit-modulus
-    residual of 1e-10. Rays with no crossing are recorded in skipped_angles.
+    Each ray is scanned inward over 513 radii from a radius bound where the
+    leading term dominates, and leaves the scan at its first stable radius;
+    the outermost sign change is bisected down to a unit-modulus residual
+    of 1e-10. Rays with no crossing are recorded in skipped_angles.
     """
     if angular_samples < 16:
         raise ValueError(f"angular_samples must be >= 16, got {angular_samples}")
@@ -137,13 +141,19 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
     directions = np.array([cmath.exp(1j * theta) for theta in thetas])
     radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
-    first_in = np.empty(angular_samples, dtype=np.intp)
+    # first_in stays 0 both when a ray has no stable point and when it is
+    # stable out to the bound: neither has a crossing to bracket.
+    first_in = np.zeros(angular_samples, dtype=np.intp)
     for start in range(0, angular_samples, _RAY_BLOCK):
-        block = directions[start:start + _RAY_BLOCK, None]
-        inside = _effective_magnitude(phi, z2, radii * block) <= 1.0
-        first_in[start:start + _RAY_BLOCK] = inside.argmax(axis=1)
-    # argmax is 0 both when a ray has no stable point and when it is stable
-    # out to the bound: neither has a crossing to bracket.
+        rays = np.arange(start, min(start + _RAY_BLOCK, angular_samples))
+        for r0 in range(0, _N_SCAN + 1, _RADIUS_BLOCK):
+            z = radii[r0:r0 + _RADIUS_BLOCK] * directions[rays, None]
+            inside = _effective_magnitude(phi, z2, z) <= 1.0
+            found = inside.any(axis=1)
+            first_in[rays[found]] = r0 + inside[found].argmax(axis=1)
+            rays = rays[~found]
+            if not rays.size:
+                break
     crossing = first_in > 0
     rows = first_in[crossing]
     ray = directions[crossing]

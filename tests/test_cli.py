@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slrk.cli import main
-from slrk.tableau import rk4_tableau, rk6_tableau, serialize_tableau
+from slrk.tableau import heun3_tableau, rk4_tableau, rk6_tableau, serialize_tableau
 
 
 @pytest.fixture
@@ -79,6 +79,22 @@ def test_stability_compare_emits_both_curves(tmp_path):
           "--compare-rk4-rk6", "--out", str(out)])
     assert (tmp_path / "fig_rk4.csv").exists()
     assert (tmp_path / "fig_rk6.csv").exists()
+
+
+def test_stability_compare_ignores_files_named_like_builtins(tmp_path, monkeypatch):
+    args = ["stability", "--z2", "-10,0", "--samples", "32", "--tableau", "rk4",
+            "--compare-rk4-rk6", "--out"]
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    monkeypatch.chdir(clean)
+    assert main(args + ["fig.csv"]) == 0
+    work = tmp_path / "work"
+    (work / "rk6").mkdir(parents=True)
+    (work / "rk4").write_text(serialize_tableau(heun3_tableau()))
+    monkeypatch.chdir(work)
+    assert main(args + ["fig.csv"]) == 0
+    for name in ("fig_rk4.csv", "fig_rk6.csv"):
+        assert (work / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_search_cli_writes_tableaux_and_summary(tmp_path, capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import slrk
+from slrk import stability
 from slrk.integrator import OdeProblem, make_plan, slrk_step
 from slrk.linop import diagonal_operator
 from slrk.order_conditions import verified_order
@@ -113,29 +114,89 @@ def test_stability_polynomial_matches_fraction_oracle(tab):
 def test_region_boundary_bitwise_matches_per_ray_oracle(make):
     phi = stability_polynomial(make())
     rng = np.random.default_rng(2024)
+    # At z2 = 0 Euler's rays near the imaginary axis are stable only at r = 0,
+    # the last scan radius, so they cross in the final one-radius pass.
     cases = [(z2, 256) for z2 in (0j, -10 + 0j, RK6_ROUNDING_Z2)]
-    # Ray counts that fill no block of 16 exactly as well as some that do.
+    # More rays than one scan block of 256 holds.
+    cases += [(z2, samples) for z2 in (0j, -10 + 0j) for samples in (300, 1000)]
+    # Ray counts below one scan block of 256.
     cases += [(complex(rng.uniform(-20.0, 0.0), rng.uniform(0.0, 5.0)), samples)
               for samples in (17, 40, 64, 100) * 25]
-    for z2, samples in cases:
+    # At Re z2 > 0 the origin is unstable and some rays never enter the region.
+    skipping = [(complex(0.1, 0.0), 256), (complex(1.0, 2.0), 300)]
+    for z2, samples in cases + skipping:
         got = region_boundary(phi, z2, samples)
         points, skipped = reference_region_boundary(phi, z2, samples)
         assert got.points.dtype == points.dtype and got.points.shape == points.shape
         assert got.points.tobytes() == points.tobytes(), (z2, samples)
         assert got.skipped_angles == skipped, (z2, samples)
+        assert bool(skipped) == ((z2, samples) in skipping)
+
+
+def reference_real_axis_boundary(phi, z2):
+    """Oracle: one 4097-point scan with Horner's rule from zero, then scalar bisection."""
+    rmax = _radius_bound(phi, complex(z2))
+    xs = np.linspace(0.0, -rmax, 4097)
+    z = xs.astype(complex)
+    acc = np.zeros_like(z)
+    for ck in reversed(phi.coeffs):
+        acc = acc * z + float(ck)
+    outside = np.exp(z2) * np.abs(acc) > 1.0
+    if not outside.any():
+        return float(xs[-1])
+    first_out = int(np.argmax(outside))
+    if first_out == 0:
+        return 0.0
+    lo, hi = xs[first_out - 1], xs[first_out]
+    while abs(lo - hi) > 1e-6:
+        mid = 0.5 * (lo + hi)
+        stable = np.exp(z2) * abs(phi(complex(mid))) <= 1.0
+        if mid == (lo if stable else hi):
+            break
+        lo, hi = (mid, hi) if stable else (lo, mid)
+    return float(lo)
+
+
+@pytest.mark.parametrize("make", BUILTINS)
+def test_real_axis_boundary_bitwise_matches_scan_oracle(make):
+    phi = stability_polynomial(make())
+    # down to -90, past both z2 of test_real_axis_boundary_returns_where_floats_are_sparse
+    for z2 in np.linspace(-90.0, 0.0, 121):
+        got = real_axis_boundary(phi, z2)
+        want = reference_real_axis_boundary(phi, float(z2))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), z2
 
 
 def test_region_boundary_scans_in_bounded_memory():
-    # The full 256 x 513 complex scan grid alone would be about 2.1 MB.
+    # The full 256 x 513 complex scan grid alone would be about 2.1 MB; scanning
+    # all 4096 rays at once, 32 radii at a time, would peak at about 6.6 MB.
     phi = stability_polynomial(rk6_tableau())
-    region_boundary(phi, -10.0, 256)
-    tracemalloc.start()
-    try:
-        region_boundary(phi, -10.0, 256)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    for samples in (256, 4096):
+        region_boundary(phi, -10.0, samples)
+        tracemalloc.start()
+        try:
+            region_boundary(phi, -10.0, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, samples
+
+
+def test_region_boundary_scans_only_down_to_the_first_stable_radius(monkeypatch):
+    # At z2 = -10 every rk6 crossing lies at 0.39-0.47 of the radius bound, so no
+    # ray needs more than the outer 320 of its 513 radii.
+    phi = stability_polynomial(rk6_tableau())
+    evaluated = []
+
+    def counted(phi, z2, z):
+        evaluated.append(z.size)
+        return magnitude(phi, z2, z)
+
+    magnitude = stability._effective_magnitude
+    monkeypatch.setattr(stability, "_effective_magnitude", counted)
+    boundary = region_boundary(phi, -10.0, 256)
+    assert len(boundary.points) == 256
+    assert sum(evaluated) < 0.65 * 256 * 513
 
 
 def test_rk4_polynomial_exact():
