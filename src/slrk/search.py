@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .order_conditions import MAX_ORDER, _densities, _stage_weights, enumerate_trees, order_residuals
+from .order_conditions import MAX_ORDER, _densities, _stage_weights, order_residuals
 from .tableau import Tableau, abscissa_grid
 
 DIVERGENCE_NORM = 1e6
@@ -104,10 +104,6 @@ class SearchConfig:
     def n_unknowns(self) -> int:
         return self.stages + self.stages * (self.stages - 1) // 2
 
-    @property
-    def n_residuals(self) -> int:
-        return len(enumerate_trees(self.target_order)) + self.stages - 1
-
     @cached_property
     def _c_targets(self) -> np.ndarray:
         """Float abscissa targets of stages 2..s (the grid rows of the residual)."""
@@ -167,7 +163,7 @@ def pack(tab: FloatTableau) -> np.ndarray:
 
 
 def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
-    """Residuals for a batch of packed vectors, shape (batch, n_residuals)."""
+    """Residuals for a batch of packed vectors: a row each, one column per tree, then c_2..c_s."""
     s = cfg.stages
     xs = np.asarray(xs, dtype=float)
     nbatch = xs.shape[0]

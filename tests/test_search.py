@@ -60,7 +60,7 @@ def rk6_packed():
 def test_dimensions():
     cfg = rk6_config()
     assert cfg.n_unknowns == 36
-    assert cfg.n_residuals == 44
+    assert len(enumerate_trees(cfg.target_order)) + cfg.stages - 1 == 44
     f = residual_vector(np.zeros(36), cfg)
     assert f.shape == (44,)
 
@@ -107,7 +107,7 @@ def test_residual_batch_bitwise_matches_per_tree_reference(stages, order):
         for scale in (1e-3, 0.5, 3.0):
             xs = scale * rng.standard_normal((nbatch, cfg.n_unknowns))
             got = search_module._residual_batch(xs, cfg)
-            assert got.shape == (nbatch, cfg.n_residuals)
+            assert got.shape == (nbatch, len(enumerate_trees(order)) + stages - 1)
             assert np.array_equal(got, reference_residual_batch(xs, cfg))
 
 

@@ -47,7 +47,7 @@ def bisect_oracle(f, lo, hi, tol=1e-10):
 
 
 def reference_region_boundary(phi, z2, angular_samples):
-    """Per-ray oracle: scan each ray alone, then bisect it with the scalar Phi."""
+    """Per-ray oracle: scan each ray alone, then bisect it alone."""
     z2 = complex(z2)
     rmax = _radius_bound(phi, z2)
     points, skipped = [], []
@@ -66,8 +66,13 @@ def reference_region_boundary(phi, z2, angular_samples):
         lo, hi = radii[first_in], radii[first_in - 1]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            m = np.exp(z2.real) * abs(phi(mid * direction))
-            if abs(m - 1.0) <= 1e-10:
+            # region_boundary's array loop may round unlike phi() and numpy's complex
+            # scalars, which both round as Python's complex does: use a 1-element array.
+            acc = np.zeros(1, dtype=complex)
+            for ck in reversed(phi.coeffs):
+                acc = acc * (mid * direction) + float(ck)
+            m = np.exp(z2.real) * np.abs(acc[0])
+            if abs(m - 1.0) <= 0.99e-10:
                 lo = mid
                 break
             if m <= 1.0:
@@ -189,7 +194,8 @@ def test_region_boundary_scans_only_down_to_the_first_stable_radius(monkeypatch)
     evaluated = []
 
     def counted(phi, z2, z):
-        evaluated.append(z.size)
+        if z.ndim == 2:  # a scan block; the bisection evaluates 1-D arrays
+            evaluated.append(z.size)
         return magnitude(phi, z2, z)
 
     magnitude = stability._effective_magnitude
@@ -256,13 +262,16 @@ def test_euler_region_is_unit_circle():
 
 
 def test_region_points_satisfy_unit_modulus():
-    for z2 in (0.0, -10.0 + 0.0j):
-        for make in (rk4_tableau, rk6_tableau):
-            phi = stability_polynomial(make())
-            boundary = region_boundary(phi, z2, angular_samples=64)
-            assert len(boundary.points) >= 32
-            for z in boundary.points:
-                assert abs(abs(np.exp(complex(z2)) * phi(z)) - 1.0) <= 1e-8
+    # region_boundary's contract, and perfbench's check: 1e-10 under the scalar Phi.
+    for make in BUILTINS:
+        phi = stability_polynomial(make())
+        for z2 in (0j, -10 + 0j, RK6_ROUNDING_Z2):
+            for samples in (17, 64, 300):
+                boundary = region_boundary(phi, z2, samples)
+                assert len(boundary.points) == samples and not boundary.skipped_angles
+                for z in boundary.points:
+                    error = abs(np.exp(z2.real) * abs(phi(z)) - 1.0)
+                    assert error <= 1e-10, (make.__name__, z2, samples, z)
 
 
 def test_region_boundary_rejects_few_samples():
