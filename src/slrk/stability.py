@@ -10,6 +10,12 @@ The coefficients of Phi come from the tableau scaled to Python ints
 scan up to 256 rays at a time, 32 radii per pass from the outermost
 inward, each ray leaving at its first stable radius; all crossing rays
 are then bisected in lockstep with the scan's own array Horner loop.
+
+The scan starts past the circles |z| = r that a coefficient bound proves
+unstable. There |Phi(z)| >= |c_d| r^d - sum_{k<d} |c_k| r^k; where exp(Re z2)
+times that, less a rounding slack of 1e-12 * sum_k |c_k| r^k, exceeds 1 by a
+1e-9 margin in logs, the float scan reads the whole circle as unstable, so
+skipping it changes no output bit.
 """
 
 from __future__ import annotations
@@ -91,6 +97,34 @@ def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -
 _N_SCAN = 512  # scan intervals per ray
 _RAY_BLOCK = 256  # rays per scan, so temporaries stay small whatever angular_samples is
 _RADIUS_BLOCK = 32  # radii per scan pass (64 or 128 ran slower)
+# Rounding allowances of the circle bound. The scan's complex Horner loop errs
+# by at most about 4*deg*eps times sum |c_k| r^k; its z = r * ray lies an ulp or
+# two off the circle and the bound's own sum errs by about deg*eps, each moving
+# the bound by under 2*deg*eps times that sum. A slack of 1e-12 of the sum covers
+# all three up to degree ~1000. exp, abs and their product add a few ulps and the
+# logs err by about eps*(|Re z2| + deg*|log r|) <= 1e-12 in the float range, so
+# with 1e-9 in logs a proven radius reads exp(Re z2)*|Phi| >= 1 + 0.99e-9.
+_HORNER_SLACK, _LOG_MARGIN = 1e-12, 1e-9
+
+
+def _first_unproven_radius(phi: StabilityPolynomial, z2: complex, radii: np.ndarray) -> int:
+    """Index of the first radius whose circle the bound does not prove unstable."""
+    coeffs = [abs(float(ck)) for ck in phi.coeffs]
+    lead, deg = coeffs[-1], phi.degree
+    if deg == 0:
+        return 0
+    r = radii[radii > 0.0]
+    # The bound is r^d * (lead - sum_{k<d} |c_k| t^(d-k)), t = 1/r, compared in
+    # logs. Where t^d >= lead the c_0 = 1 term alone makes it negative; clipping
+    # t there keeps every power finite and changes no verdict.
+    t = np.minimum(1.0 / r, lead ** (1.0 / deg))
+    lower = np.zeros_like(t)
+    for ck in coeffs[:-1]:
+        lower = (lower + ck) * t
+    q = (1.0 - _HORNER_SLACK) * lead - (1.0 + _HORNER_SLACK) * lower
+    log_q = np.log(q, out=np.full_like(q, -np.inf), where=q > 0.0)
+    proven = log_q + deg * np.log(r) + z2.real > _LOG_MARGIN
+    return r.size if proven.all() else int(proven.argmin())
 
 
 def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.ndarray,
@@ -124,7 +158,10 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     Each ray is scanned inward over 513 radii from a radius bound where the
     leading term dominates, and leaves the scan at its first stable radius;
     the outermost sign change is bisected down to a unit-modulus residual
-    of 1e-10. Rays with no crossing are recorded in skipped_angles.
+    of 1e-10. Rays with no crossing are recorded in skipped_angles. The scan
+    starts at the 32-radius block holding the first circle that the bound
+    exp(Re z2) * (|c_d| r^d - sum_{k<d} |c_k| r^k), less its rounding slack
+    and margin, does not prove unstable; every point it skips would read > 1.
     """
     if angular_samples < 16:
         raise ValueError(f"angular_samples must be >= 16, got {angular_samples}")
@@ -136,9 +173,12 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     # first_in stays 0 both when a ray has no stable point and when it is
     # stable out to the bound: neither has a crossing to bracket.
     first_in = np.zeros(angular_samples, dtype=np.intp)
+    # Starting on a block boundary of the full scan, every array evaluated is
+    # one that the full scan evaluates, and first_in is the full scan's.
+    skip = _first_unproven_radius(phi, z2, radii) // _RADIUS_BLOCK * _RADIUS_BLOCK
     for start in range(0, angular_samples, _RAY_BLOCK):
         rays = np.arange(start, min(start + _RAY_BLOCK, angular_samples))
-        for r0 in range(0, _N_SCAN + 1, _RADIUS_BLOCK):
+        for r0 in range(skip, _N_SCAN + 1, _RADIUS_BLOCK):
             z = radii[r0:r0 + _RADIUS_BLOCK] * directions[rays, None]
             inside = _effective_magnitude(phi, z2, z) <= 1.0
             found = inside.any(axis=1)

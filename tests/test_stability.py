@@ -127,6 +127,10 @@ def test_region_boundary_bitwise_matches_per_ray_oracle(make):
     # Ray counts below one scan block of 256.
     cases += [(complex(rng.uniform(-20.0, 0.0), rng.uniform(0.0, 5.0)), samples)
               for samples in (17, 40, 64, 100) * 25]
+    # Near the float range, where the circle bound works in logs.
+    cases += [(complex(-700.0, 0.0), 256)]
+    if make is rk4_tableau:
+        cases += [(complex(-705.0, 0.0), 256)]
     # At Re z2 > 0 the origin is unstable and some rays never enter the region.
     skipping = [(complex(0.1, 0.0), 256), (complex(1.0, 2.0), 300)]
     for z2, samples in cases + skipping:
@@ -203,6 +207,45 @@ def test_region_boundary_scans_only_down_to_the_first_stable_radius(monkeypatch)
     boundary = region_boundary(phi, -10.0, 256)
     assert len(boundary.points) == 256
     assert sum(evaluated) < 0.65 * 256 * 513
+
+
+def test_region_boundary_scan_starts_past_the_proven_circles(monkeypatch):
+    # At z2 = -10 the circle bound proves rk6's outer 243 radii unstable, so the
+    # scan starts at radius 224 and evaluates about 15% of the grid.
+    phi = stability_polynomial(rk6_tableau())
+    evaluated = []
+
+    def counted(phi, z2, z):
+        if z.ndim == 2:
+            evaluated.append(z.size)
+        return magnitude(phi, z2, z)
+
+    magnitude = stability._effective_magnitude
+    monkeypatch.setattr(stability, "_effective_magnitude", counted)
+    boundary = region_boundary(phi, -10.0, 256)
+    assert len(boundary.points) == 256
+    assert sum(evaluated) < 0.25 * 256 * 513
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", BUILTINS)
+def test_circle_bound_skips_only_radii_the_scan_reads_unstable(make):
+    phi = stability_polynomial(make())
+    cases = [0j, -10 + 0j, RK6_ROUNDING_Z2, 0.1 + 0j, 1 + 2j, 50 + 0j, -700 + 0j]
+    if make is rk4_tableau:
+        cases.append(-705 + 0j)
+    thetas = 2.0 * np.pi * np.arange(256) / 256
+    directions = np.array([cmath.exp(1j * theta) for theta in thetas])
+    proven = []
+    for z2 in cases:
+        radii = np.linspace(_radius_bound(phi, z2), 0.0, 513)
+        skip = stability._first_unproven_radius(phi, z2, radii)
+        proven.append(skip)
+        magnitudes = stability._effective_magnitude(phi, z2, radii[:skip] * directions[:, None])
+        assert np.all(magnitudes > 1.0), (z2, skip)
+        region_boundary(phi, z2, 256)  # the whole call warns nowhere either
+    # the bound proves some circles at every builtin, and about half the grid at -700
+    assert max(proven) > 0 and proven[cases.index(-700 + 0j)] >= 256
 
 
 def test_rk4_polynomial_exact():
