@@ -65,4 +65,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -200,7 +200,7 @@ def cmd_stability(args, run: _Run) -> int:
                   for tab, path in curves]
     for boundary, path in boundaries:
         lines = ["re(z),im(z)"]
-        lines += [f"{z.real:.12g},{z.imag:.12g}" for z in boundary.points]
+        lines += [f"{float(z.real)!r},{float(z.imag)!r}" for z in boundary.points]
         run.write(path, "\n".join(lines) + "\n")
         if boundary.skipped_angles:
             print(f"{path}: {len(boundary.skipped_angles)} rays had no crossing",

@@ -8,8 +8,11 @@ exp(z_2)*Phi(z_1) and a purely imaginary z_2 cannot change stability.
 The coefficients of Phi come from the tableau scaled to Python ints
 (Tableau.as_integers), one Fraction per coefficient. Region boundaries
 scan up to 256 rays at a time, 32 radii per pass from the outermost
-inward, each ray leaving at its first stable radius; all crossing rays
-are then bisected in lockstep with the scan's own array Horner loop.
+inward, each ray leaving at its first stable radius; each block's crossing
+rays are then solved together by Illinois steps (regula falsi that halves
+the kept end's value when the same end is replaced twice running), with
+the scan's own array Horner loop. The real-axis boundary keeps a scalar
+bisection: a one-ray array call costs more than it.
 
 The scan starts past the circles |z| = r that a coefficient bound proves
 unstable. There |Phi(z)| >= |c_d| r^d - sum_{k<d} |c_k| r^k; where exp(Re z2)
@@ -85,12 +88,16 @@ def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
     return bound
 
 
-def _effective_magnitude(phi: StabilityPolynomial, z2: complex, z: np.ndarray) -> np.ndarray:
-    # Horner from the leading coefficient: 0*z + c is c up to the sign of a zero.
-    acc = np.full(z.shape, float(phi.coeffs[-1]), dtype=complex)
-    for ck in reversed(phi.coeffs[:-1]):
-        acc *= z
-        acc += float(ck)
+def _effective_magnitude(coeffs: list[float], z2: complex, z: np.ndarray) -> np.ndarray:
+    # coeffs are phi.coeffs as floats. Horner from the leading coefficient:
+    # 0*z + c is c up to the sign of a zero. acc * z, not acc *= z: numpy
+    # multiplies a one-element array in place with a scalar loop that rounds
+    # unlike its vector loops, so a ray's bits would depend on how many rays
+    # are still being solved.
+    acc = np.full(z.shape, coeffs[-1], dtype=complex)
+    for ck in reversed(coeffs[:-1]):
+        acc = acc * z
+        acc += ck
     return np.exp(z2.real) * np.abs(acc)
 
 
@@ -127,28 +134,48 @@ def _first_unproven_radius(phi: StabilityPolynomial, z2: complex, radii: np.ndar
     return r.size if proven.all() else int(proven.argmin())
 
 
-def _bisect_rays(phi: StabilityPolynomial, z2: complex, lo: np.ndarray, hi: np.ndarray,
+def _bisect_rays(coeffs: list[float], z2: complex, lo: np.ndarray, hi: np.ndarray,
                  ray: np.ndarray) -> np.ndarray:
-    """Bisect |exp(z2)*Phi(r*ray)| = 1 on [lo, hi] for all rays at once.
+    """Solve |exp(z2)*Phi(r*ray)| = 1 on [lo, hi] by Illinois steps, all rays at once.
 
-    A ray stops when |m - 1| <= 0.99e-10 (taking lo = mid) or after 200
-    halvings. The contract is 1e-10 under the scalar Phi; the array Horner
-    loop differs from it by at most 7.2e-15 on boundary points (euler,
-    heun3, rk4 and rk6 at 65 z2), so the 1e-12 margin covers that 140 times.
+    f(r) = m(r) - 1 is evaluated at both ends in one pass; lo is stable
+    (f <= 0) and hi unstable. Each pass takes the secant point of the
+    bracket, or its midpoint when that point is not strictly inside, and
+    replaces the end whose sign it shares; when the same end is replaced
+    twice running, the kept end's f is halved (Illinois, Dowell & Jarratt
+    1971). A ray stops at the first point, bracket end lo included, with
+    |m - 1| <= 0.99e-10, or returns lo after 200 passes. The contract is
+    1e-10 under the scalar Phi; the array Horner loop differs from it by at
+    most 7.2e-15 on boundary points (euler, heun3, rk4 and rk6 at 65 z2),
+    so the 1e-12 margin covers that 140 times.
     """
-    lo, hi = lo.copy(), hi.copy()
-    active = np.arange(lo.size)
+    n = lo.size
+    f = _effective_magnitude(coeffs, z2, np.concatenate((lo * ray, hi * ray))) - 1.0
+    f_lo, f_hi = f[:n], f[n:]
+    out = lo.copy()
+    active = np.flatnonzero(np.abs(f_lo) > 0.99e-10)
+    lo, hi, f_lo, f_hi, ray = lo[active], hi[active], f_lo[active], f_hi[active], ray[active]
+    side = np.zeros(active.size)  # the end the last pass replaced: 1 lo, -1 hi, 0 none yet
     for _ in range(200):
         if not active.size:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        m = _effective_magnitude(phi, z2, mid * ray[active])
-        done = np.abs(m - 1.0) <= 0.99e-10
-        take_lo = done | (m <= 1.0)
-        lo[active[take_lo]] = mid[take_lo]
-        hi[active[~take_lo]] = mid[~take_lo]
-        active = active[~done]
-    return lo
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        fx = _effective_magnitude(coeffs, z2, x * ray) - 1.0
+        done = np.abs(fx) <= 0.99e-10
+        out[active[done]] = x[done]
+        take_lo = fx <= 0.0
+        replaced = np.where(take_lo, 1.0, -1.0)
+        again = replaced == side
+        f_lo = np.where(take_lo, fx, np.where(again, 0.5 * f_lo, f_lo))
+        f_hi = np.where(take_lo, np.where(again, 0.5 * f_hi, f_hi), fx)
+        lo = np.where(take_lo, x, lo)
+        hi = np.where(take_lo, hi, x)
+        keep = ~done
+        active, lo, hi, f_lo, f_hi, ray, side = (active[keep], lo[keep], hi[keep], f_lo[keep],
+                                                 f_hi[keep], ray[keep], replaced[keep])
+    out[active] = lo
+    return out
 
 
 def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
@@ -157,8 +184,9 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
 
     Each ray is scanned inward over 513 radii from a radius bound where the
     leading term dominates, and leaves the scan at its first stable radius;
-    the outermost sign change is bisected down to a unit-modulus residual
-    of 1e-10. Rays with no crossing are recorded in skipped_angles. The scan
+    the outermost sign change is solved by Illinois steps down to a
+    unit-modulus residual of 1e-10, one block of at most 256 rays at a time.
+    Rays with no crossing are recorded in skipped_angles. The scan
     starts at the 32-radius block holding the first circle that the bound
     exp(Re z2) * (|c_d| r^d - sum_{k<d} |c_k| r^k), less its rounding slack
     and margin, does not prove unstable; every point it skips would read > 1.
@@ -170,28 +198,31 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
     directions = np.array([cmath.exp(1j * theta) for theta in thetas])
     radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
+    coeffs = [float(ck) for ck in phi.coeffs]
     # first_in stays 0 both when a ray has no stable point and when it is
     # stable out to the bound: neither has a crossing to bracket.
     first_in = np.zeros(angular_samples, dtype=np.intp)
+    radius = np.zeros(angular_samples)
     # Starting on a block boundary of the full scan, every array evaluated is
     # one that the full scan evaluates, and first_in is the full scan's.
     skip = _first_unproven_radius(phi, z2, radii) // _RADIUS_BLOCK * _RADIUS_BLOCK
     for start in range(0, angular_samples, _RAY_BLOCK):
-        rays = np.arange(start, min(start + _RAY_BLOCK, angular_samples))
+        block = np.arange(start, min(start + _RAY_BLOCK, angular_samples))
+        rays = block
         for r0 in range(skip, _N_SCAN + 1, _RADIUS_BLOCK):
             z = radii[r0:r0 + _RADIUS_BLOCK] * directions[rays, None]
-            inside = _effective_magnitude(phi, z2, z) <= 1.0
+            inside = _effective_magnitude(coeffs, z2, z) <= 1.0
             found = inside.any(axis=1)
             first_in[rays[found]] = r0 + inside[found].argmax(axis=1)
             rays = rays[~found]
             if not rays.size:
                 break
+        rays = block[first_in[block] > 0]
+        rows = first_in[rays]
+        radius[rays] = _bisect_rays(coeffs, z2, radii[rows], radii[rows - 1], directions[rays])
     crossing = first_in > 0
-    rows = first_in[crossing]
-    ray = directions[crossing]
-    lo = _bisect_rays(phi, z2, radii[rows], radii[rows - 1], ray)
-    # lo is real, so lo * ray rounds as the scalar lo * direction does.
-    return RegionBoundary(points=lo * ray,
+    # radius is real, so radius * direction rounds as the scalar product does.
+    return RegionBoundary(points=radius[crossing] * directions[crossing],
                           skipped_angles=tuple(float(t) for t in thetas[~crossing]))
 
 
@@ -207,7 +238,8 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
         raise ValueError("real_axis_boundary requires z2 <= 0")
     rmax = _radius_bound(phi, complex(z2))
     xs = np.linspace(0.0, -rmax, 4097)
-    mags = _effective_magnitude(phi, complex(z2), xs.astype(complex))
+    mags = _effective_magnitude([float(ck) for ck in phi.coeffs], complex(z2),
+                                xs.astype(complex))
     outside = mags > 1.0
     if not outside.any():
         return float(xs[-1])

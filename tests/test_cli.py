@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from slrk.cli import main
+from slrk.stability import region_boundary, stability_polynomial
 from slrk.tableau import heun3_tableau, rk4_tableau, rk6_tableau, serialize_tableau
 
 
@@ -60,6 +61,10 @@ def test_stability_writes_csv_and_manifest(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "re(z),im(z)"
     assert len(lines) > 32
+    # the printed digits round-trip to the boundary's points
+    points = region_boundary(stability_polynomial(rk4_tableau()), -10.0, 64).points
+    read = np.array([complex(*map(float, line.split(","))) for line in lines[1:]])
+    assert read.tobytes() == points.tobytes()
     manifest = json.loads((tmp_path / "boundary_manifest.json").read_text())
     assert manifest["subcommand"] == "stability"
     assert manifest["parameters"]["samples"] == 64
@@ -155,7 +160,6 @@ def test_integrate_scalar_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     got = complex(payload["norms"]["final_re"], payload["norms"]["final_im"])
     # one rate handled by the polynomial, the stiff one exactly
-    from slrk.stability import stability_polynomial
     phi = stability_polynomial(rk6_tableau())
     want = (cmath.exp(-1.5) * phi(0.5j)) ** 4
     assert abs(got - want) <= 1e-12 * abs(want)

@@ -47,10 +47,19 @@ def bisect_oracle(f, lo, hi, tol=1e-10):
 
 
 def reference_region_boundary(phi, z2, angular_samples):
-    """Per-ray oracle: scan each ray alone, then bisect it alone."""
+    """Per-ray oracle: scan each ray alone, then solve it alone by Illinois steps."""
     z2 = complex(z2)
     rmax = _radius_bound(phi, z2)
     points, skipped = [], []
+
+    def f(r, direction):
+        # region_boundary's array loop may round unlike phi() and numpy's complex
+        # scalars, which both round as Python's complex does: use a 1-element array.
+        acc = np.zeros(1, dtype=complex)
+        for ck in reversed(phi.coeffs):
+            acc = acc * (r * direction) + float(ck)
+        return np.exp(z2.real) * np.abs(acc[0]) - 1.0
+
     for theta in 2.0 * np.pi * np.arange(angular_samples) / angular_samples:
         direction = cmath.exp(1j * theta)
         radii = np.linspace(rmax, 0.0, 513)
@@ -64,21 +73,24 @@ def reference_region_boundary(phi, z2, angular_samples):
             skipped.append(float(theta))
             continue
         lo, hi = radii[first_in], radii[first_in - 1]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            # region_boundary's array loop may round unlike phi() and numpy's complex
-            # scalars, which both round as Python's complex does: use a 1-element array.
-            acc = np.zeros(1, dtype=complex)
-            for ck in reversed(phi.coeffs):
-                acc = acc * (mid * direction) + float(ck)
-            m = np.exp(z2.real) * np.abs(acc[0])
-            if abs(m - 1.0) <= 0.99e-10:
-                lo = mid
+        f_lo, f_hi = f(lo, direction), f(hi, direction)
+        side = 0  # the end the last step replaced: 1 lo, -1 hi
+        for _ in range(200 if abs(f_lo) > 0.99e-10 else 0):
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            fx = f(x, direction)
+            if abs(fx) <= 0.99e-10:
+                lo = x
                 break
-            if m <= 1.0:
-                lo = mid
+            if fx <= 0.0:
+                if side == 1:
+                    f_hi *= 0.5
+                lo, f_lo, side = x, fx, 1
             else:
-                hi = mid
+                if side == -1:
+                    f_lo *= 0.5
+                hi, f_hi, side = x, fx, -1
         points.append(lo * direction)
     return np.array(points, dtype=complex), tuple(skipped)
 
@@ -227,6 +239,24 @@ def test_region_boundary_scan_starts_past_the_proven_circles(monkeypatch):
     assert sum(evaluated) < 0.25 * 256 * 513
 
 
+def test_region_boundary_solves_rays_in_few_passes(monkeypatch):
+    # Illinois steps take 5 one-dimensional passes for rk6 at z2 = -10, the
+    # bracket ends' pass included; halving the brackets took 25-28.
+    phi = stability_polynomial(rk6_tableau())
+    passes = []
+
+    def counted(coeffs, z2, z):
+        if z.ndim == 1:
+            passes.append(z.size)
+        return magnitude(coeffs, z2, z)
+
+    magnitude = stability._effective_magnitude
+    monkeypatch.setattr(stability, "_effective_magnitude", counted)
+    boundary = region_boundary(phi, -10.0, 256)
+    assert len(boundary.points) == 256
+    assert len(passes) <= 10, passes
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("make", BUILTINS)
 def test_circle_bound_skips_only_radii_the_scan_reads_unstable(make):
@@ -241,7 +271,8 @@ def test_circle_bound_skips_only_radii_the_scan_reads_unstable(make):
         radii = np.linspace(_radius_bound(phi, z2), 0.0, 513)
         skip = stability._first_unproven_radius(phi, z2, radii)
         proven.append(skip)
-        magnitudes = stability._effective_magnitude(phi, z2, radii[:skip] * directions[:, None])
+        magnitudes = stability._effective_magnitude([float(ck) for ck in phi.coeffs], z2,
+                                                    radii[:skip] * directions[:, None])
         assert np.all(magnitudes > 1.0), (z2, skip)
         region_boundary(phi, z2, 256)  # the whole call warns nowhere either
     # the bound proves some circles at every builtin, and about half the grid at -700
