@@ -44,6 +44,7 @@ from .integrator import (
     lawson_step_general,
     make_plan,
     slrk_step,
+    trajectory,
 )
 from .stability import (
     RegionBoundary,
@@ -65,4 +66,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

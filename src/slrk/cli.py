@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, navier_stokes
-from .integrator import NonFiniteStateError, OdeProblem, integrate, make_plan
+from .integrator import NonFiniteStateError, OdeProblem, integrate, make_plan, trajectory
 from .linop import diagonal_operator
 from .order_conditions import order_residuals, verified_order
 from .search import SearchConfig, multi_start_search, rationalize
@@ -294,20 +294,11 @@ def cmd_ns_run(args, run: _Run) -> int:
     problem = _checked(navier_stokes.make_problem, grid, args.nu)
     h = args.t / args.steps
     plan = _checked(make_plan, problem, tab, h)
-    w_hat = navier_stokes.initial_condition(grid)
     out = Path(args.out)
-    chunk = args.every or args.steps
-    done = 0
-    try:
-        while args.steps - done > chunk:
-            w_hat = integrate(plan, w_hat, chunk)
-            done += chunk
-            run.write(out.with_name(f"{out.stem}_step{done}{out.suffix}"),
-                      _snapshot(navier_stokes.vorticity_field(w_hat), done * h))
-        w_hat = integrate(plan, w_hat, args.steps - done)
-    except NonFiniteStateError as err:  # name the step of the run, not of the chunk
-        step = done + err.step
-        raise NonFiniteStateError(f"{err.__cause__} in step {step}, t = {step * h:g}") from None
+    for step, w_hat in trajectory(plan, navier_stokes.initial_condition(grid), args.steps):
+        if args.every and step % args.every == 0 and step < args.steps:
+            run.write(out.with_name(f"{out.stem}_step{step}{out.suffix}"),
+                      _snapshot(navier_stokes.vorticity_field(w_hat), step * h))
     run.write(out, _snapshot(navier_stokes.vorticity_field(w_hat), args.t))
     return 0
 

@@ -16,13 +16,14 @@ Two steppers:
   exponential per stage pair, for diagonal or dense A. Reference
   semantics; used as the oracle the fast stepper is tested against.
 
-``integrate`` is the one stepping loop over ``slrk_step``.
+``trajectory`` is the one stepping loop over ``slrk_step``, yielding every
+step's state; ``integrate`` drains it and returns the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -163,20 +164,24 @@ def lawson_step_general(tableau: Tableau, g, A: LinearOperator, u: np.ndarray,
     return out
 
 
-def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Step n_steps times from u0; returns the final state.
+def trajectory(plan: StepPlan, u0: np.ndarray, n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (step, state) after each of n_steps steps from u0, counting from 1.
 
-    A NonFiniteStateError names the step (from 1) and the time it was to reach;
-    it holds that step as ``step`` and slrk_step's error as its cause.
+    A NonFiniteStateError names the step and time, caused by slrk_step's error.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     u = np.asarray(u0)
     for step in range(1, n_steps + 1):
         try:
             u = slrk_step(plan, u)
         except NonFiniteStateError as err:
-            located = NonFiniteStateError(f"{err} in step {step}, t = {step * plan.h:g}")
-            located.step = step
-            raise located from err
+            raise NonFiniteStateError(f"{err} in step {step}, t = {step * plan.h:g}") from err
+        yield step, u
+
+
+def integrate(plan: StepPlan, u0: np.ndarray, n_steps: int) -> np.ndarray:
+    """Drain ``trajectory`` of n_steps >= 1 steps from u0; returns the final state."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    for _, u in trajectory(plan, u0, n_steps):
+        pass
     return u

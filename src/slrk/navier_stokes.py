@@ -225,24 +225,22 @@ class ConvergenceResult:
 
 
 def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts: list[int],
-                      reference_steps: int | None = None) -> ConvergenceResult:
+                      reference_steps: int) -> ConvergenceResult:
     """Max pointwise error at t_final versus step count, for rk4 and rk6.
 
-    The ground truth is the sixth-order scheme run at reference_steps
-    (default 4x the largest tested count; must be at least that). The
-    log-log slope fit uses points that are finite, below 1% of the
-    reference field amplitude (past the pre-asymptotic regime), and above
-    ten times the smallest error in the table (the empirical floor). Every
-    run steps one problem from one initial state. A tested run that blows
-    up records a NaN error; a blow-up of the reference run raises a
-    NonFiniteStateError that names it.
+    The ground truth is the sixth-order scheme run at reference_steps,
+    which must be at least 4x the largest tested count. The log-log slope
+    fit uses points that are finite, below 1% of the reference field
+    amplitude (past the pre-asymptotic regime), and above ten times the
+    smallest error in the table (the empirical floor). Every run steps one
+    problem from one initial state. A tested run that blows up records a
+    NaN error; a blow-up of the reference run raises a NonFiniteStateError
+    that names it.
     """
     if sorted(step_counts) != list(step_counts) or len(set(step_counts)) != len(step_counts):
         raise ValueError("step_counts must be strictly increasing")
     if min(step_counts) < 1:
         raise ValueError(f"step counts must be >= 1, got {min(step_counts)}")
-    if reference_steps is None:
-        reference_steps = 4 * max(step_counts)
     if reference_steps < 4 * max(step_counts):
         raise ValueError("reference step count must be >= 4x the largest tested")
     schemes = [rk4_tableau(), rk6_tableau()]

@@ -127,7 +127,7 @@ class SearchResult:
     reason: str
     tableau: FloatTableau | None
     history: tuple[float, ...]
-    rng_seed: int = 0
+    rng_seed: int
 
 
 @lru_cache(maxsize=None)

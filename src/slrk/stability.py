@@ -24,7 +24,8 @@ skipping it changes no output bit.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -38,14 +39,19 @@ class StabilityPolynomial:
 
     coeffs: tuple[Fraction, ...]
 
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The coefficients as floats, converted once per polynomial."""
+        return tuple(float(ck) for ck in self.coeffs)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
-        for ck in reversed(self.coeffs):
-            acc = acc * z + float(ck)
+        for ck in reversed(self.floats):
+            acc = acc * z + ck
         return acc
 
 
@@ -71,13 +77,13 @@ class RegionBoundary:
     """Polyline |exp(z2)*Phi(z)| = 1, one point per ray that crosses."""
 
     points: np.ndarray
-    skipped_angles: tuple[float, ...] = field(default_factory=tuple)
+    skipped_angles: tuple[float, ...]
 
 
 def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
     # Beyond ~(e^{-Re z2}/|lead|)^{1/deg} the leading term dominates and
     # |Phi_eff| > 1, so double it for a safe outer bracket.
-    lead = abs(float(phi.coeffs[-1]))
+    lead = abs(phi.floats[-1])
     deg = phi.degree
     if deg == 0 or lead == 0.0:
         return 4.0
@@ -88,8 +94,8 @@ def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
     return bound
 
 
-def _effective_magnitude(coeffs: list[float], z2: complex, z: np.ndarray) -> np.ndarray:
-    # coeffs are phi.coeffs as floats. Horner from the leading coefficient:
+def _effective_magnitude(coeffs: tuple[float, ...], z2: complex, z: np.ndarray) -> np.ndarray:
+    # coeffs are phi.floats. Horner from the leading coefficient:
     # 0*z + c is c up to the sign of a zero. acc * z, not acc *= z: numpy
     # multiplies a one-element array in place with a scalar loop that rounds
     # unlike its vector loops, so a ray's bits would depend on how many rays
@@ -116,7 +122,7 @@ _HORNER_SLACK, _LOG_MARGIN = 1e-12, 1e-9
 
 def _first_unproven_radius(phi: StabilityPolynomial, z2: complex, radii: np.ndarray) -> int:
     """Index of the first radius whose circle the bound does not prove unstable."""
-    coeffs = [abs(float(ck)) for ck in phi.coeffs]
+    coeffs = [abs(ck) for ck in phi.floats]
     lead, deg = coeffs[-1], phi.degree
     if deg == 0:
         return 0
@@ -134,7 +140,7 @@ def _first_unproven_radius(phi: StabilityPolynomial, z2: complex, radii: np.ndar
     return r.size if proven.all() else int(proven.argmin())
 
 
-def _bisect_rays(coeffs: list[float], z2: complex, lo: np.ndarray, hi: np.ndarray,
+def _bisect_rays(coeffs: tuple[float, ...], z2: complex, lo: np.ndarray, hi: np.ndarray,
                  ray: np.ndarray) -> np.ndarray:
     """Solve |exp(z2)*Phi(r*ray)| = 1 on [lo, hi] by Illinois steps, all rays at once.
 
@@ -198,7 +204,6 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
     directions = np.array([cmath.exp(1j * theta) for theta in thetas])
     radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
-    coeffs = [float(ck) for ck in phi.coeffs]
     # first_in stays 0 both when a ray has no stable point and when it is
     # stable out to the bound: neither has a crossing to bracket.
     first_in = np.zeros(angular_samples, dtype=np.intp)
@@ -211,7 +216,7 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
         rays = block
         for r0 in range(skip, _N_SCAN + 1, _RADIUS_BLOCK):
             z = radii[r0:r0 + _RADIUS_BLOCK] * directions[rays, None]
-            inside = _effective_magnitude(coeffs, z2, z) <= 1.0
+            inside = _effective_magnitude(phi.floats, z2, z) <= 1.0
             found = inside.any(axis=1)
             first_in[rays[found]] = r0 + inside[found].argmax(axis=1)
             rays = rays[~found]
@@ -219,7 +224,7 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                 break
         rays = block[first_in[block] > 0]
         rows = first_in[rays]
-        radius[rays] = _bisect_rays(coeffs, z2, radii[rows], radii[rows - 1], directions[rays])
+        radius[rays] = _bisect_rays(phi.floats, z2, radii[rows], radii[rows - 1], directions[rays])
     crossing = first_in > 0
     # radius is real, so radius * direction rounds as the scalar product does.
     return RegionBoundary(points=radius[crossing] * directions[crossing],
@@ -238,8 +243,7 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
         raise ValueError("real_axis_boundary requires z2 <= 0")
     rmax = _radius_bound(phi, complex(z2))
     xs = np.linspace(0.0, -rmax, 4097)
-    mags = _effective_magnitude([float(ck) for ck in phi.coeffs], complex(z2),
-                                xs.astype(complex))
+    mags = _effective_magnitude(phi.floats, complex(z2), xs.astype(complex))
     outside = mags > 1.0
     if not outside.any():
         return float(xs[-1])

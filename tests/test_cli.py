@@ -244,7 +244,7 @@ def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message
 
 
 @pytest.mark.parametrize("argv,message", [
-    # the first step (to t = 50) stays finite; the second chunk's only step blows up
+    # the first step (to t = 50) stays finite and is snapshotted; the second step blows up
     (["ns-run", "--n", "16", "--t", "100", "--steps", "2", "--every", "1", "--out", "w.bin"],
      "ns-run: non-finite slope at stage 2 in step 2, t = 100"),
     # the rk6 reference run of 8 steps blows up before any tested run

@@ -15,6 +15,7 @@ from slrk.integrator import (
     lawson_step_general,
     make_plan,
     slrk_step,
+    trajectory,
 )
 from slrk.linop import dense_operator, diagonal_operator
 from slrk.tableau import (
@@ -431,12 +432,30 @@ def test_rk6_halving_reduces_error_sixtyfourfold():
 
 
 def test_integrate_is_repeated_slrk_step():
-    prob = OdeProblem(g=lambda v: -v, A=None)
-    plan = make_plan(prob, rk4_tableau(), 0.1)
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        return -v
+
+    plan = make_plan(OdeProblem(g=g, A=None), rk4_tableau(), 0.1)
     u = np.ones(2)
+    chained = []
     for n_steps in range(1, 6):
         u = slrk_step(plan, u)
+        chained.append(u)
         assert np.array_equal(integrate(plan, np.ones(2), n_steps), u)
+    # trajectory yields (k, the state of k chained steps), each bit for bit
+    yielded = list(trajectory(plan, np.ones(2), 5))
+    assert [k for k, _ in yielded] == [1, 2, 3, 4, 5]
+    for (_, state), u in zip(yielded, chained):
+        assert np.array_equal(state, u)
+    # it steps only as far as it is drained: 2 steps call rk4's g 2 * 4 times
+    calls.clear()
+    for k, _ in trajectory(plan, np.ones(2), 5):
+        if k == 2:
+            break
+    assert len(calls) == 2 * 4
     with pytest.raises(ValueError):
         integrate(plan, np.ones(2), 0)
 
@@ -461,6 +480,17 @@ def test_non_finite_rhs_aborts_with_diagnostic():
         with pytest.raises(NonFiniteStateError,
                            match=r"^non-finite slope at stage 2 in step 3, t = 0\.3$"):
             integrate(plan, np.ones(1), 5)
+    # trajectory yields steps 1 and 2, then raises the same located error,
+    # chained from slrk_step's
+    calls.clear()
+    steps = trajectory(plan, np.ones(1), 5)
+    assert [next(steps)[0], next(steps)[0]] == [1, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^non-finite slope at stage 2 in step 3, t = 0\.3$") as info:
+            next(steps)
+    assert isinstance(info.value.__cause__, NonFiniteStateError)
+    assert str(info.value.__cause__) == "non-finite slope at stage 2"
     # every slope is finite, but their weighted sum overflows
     plan = make_plan(OdeProblem(g=lambda v: np.full_like(v, 1e308), A=None), rk4_tableau(), 1.0)
     with np.errstate(over="ignore"):
