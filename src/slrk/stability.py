@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +184,19 @@ def _bisect_rays(coeffs: tuple[float, ...], z2: complex, lo: np.ndarray, hi: np.
     return out
 
 
+def _ray_angles(angular_samples: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+
+
+@lru_cache
+def _ray_directions(angular_samples: int) -> np.ndarray:
+    """exp(i*theta) of each ray, built once per ray count; the array is read-only."""
+    # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
+    directions = np.array([cmath.exp(1j * theta) for theta in _ray_angles(angular_samples)])
+    directions.flags.writeable = False
+    return directions
+
+
 def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                     angular_samples: int = 256) -> RegionBoundary:
     """Outermost |exp(z2)*Phi(z)| = 1 crossing along rays from the origin.
@@ -200,9 +213,8 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     if angular_samples < 16:
         raise ValueError(f"angular_samples must be >= 16, got {angular_samples}")
     z2 = complex(z2)
-    thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
-    # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
-    directions = np.array([cmath.exp(1j * theta) for theta in thetas])
+    thetas = _ray_angles(angular_samples)
+    directions = _ray_directions(angular_samples)
     radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
     # first_in stays 0 both when a ray has no stable point and when it is
     # stable out to the bound: neither has a crossing to bracket.

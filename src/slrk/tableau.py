@@ -73,16 +73,22 @@ class Tableau:
         return a, b, c
 
     def as_integers(self) -> tuple[np.ndarray, int, np.ndarray, int]:
-        """Exact integer rendering (d*a, d, d_b*b, d_b).
+        """Exact integer rendering (d*a, d, d_b*b, d_b), computed once per tableau.
 
         d and d_b are the lcm of the denominators of a and of b; the two
         arrays hold Python ints (object dtype), so products never overflow.
+        Both arrays are read-only: every call returns the same ones.
         """
+        return self._integers
+
+    @cached_property
+    def _integers(self) -> tuple[np.ndarray, int, np.ndarray, int]:
         d = math.lcm(*(x.denominator for row in self.a for x in row))
         d_b = math.lcm(*(x.denominator for x in self.b))
         a = np.array([[x.numerator * (d // x.denominator) for x in row] for row in self.a],
                      dtype=object)
         b = np.array([x.numerator * (d_b // x.denominator) for x in self.b], dtype=object)
+        a.flags.writeable = b.flags.writeable = False
         return a, d, b, d_b
 
 

@@ -299,6 +299,17 @@ def test_one_plan_steps_a_float_state_then_a_complex_one():
         assert np.array_equal(got, per_array_run(plan, u, 5))
 
 
+def test_complex_state_on_a_real_dense_operator_reads_a_column_major_propagator():
+    rng = np.random.default_rng(31)
+    A = dense_operator(rng.standard_normal((16, 16)) - 4.0 * np.eye(16))
+    plan = make_plan(OdeProblem(g=lambda v: -0.1 * v, A=A), rk4_tableau(), 0.1)
+    assert plan.propagator.data.dtype == float
+    u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    slrk_step(plan, u)
+    e, _ = integrator._workspace(plan, u)
+    assert e.data.dtype == complex and e.data.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("kind, shape, state_shape", [
     ("diagonal", (6, 6), (2, 6, 6)),
     ("diagonal", (6, 6), (6,)),

@@ -229,6 +229,21 @@ def test_apply_to_a_stack_of_states():
         apply(ed, np.zeros((4, 7)))
 
 
+@pytest.mark.parametrize("scale, squared", [(40.0, True), (0.1, False)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_propagator_is_stored_column_major(scale, squared, dtype):
+    # apply's v @ E.T then reads a C-contiguous matrix, squared by expm or not.
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((48, 48)).astype(dtype)
+    if dtype is complex:
+        m += 1j * rng.standard_normal((48, 48))
+    m *= scale / np.linalg.norm(m, 1)
+    assert (scale > 5.371920351148152) == squared  # theta_13: beyond it expm squares
+    e = make_propagator(dense_operator(m), 1.0)
+    assert e.data.dtype == dtype and e.data.T.flags.c_contiguous
+    assert np.max(np.abs(e.data - taylor_expm(m, 200))) <= 1e-12 * np.max(np.abs(e.data))
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         dense_operator(np.zeros((2, 3)))

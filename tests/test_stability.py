@@ -348,6 +348,15 @@ def test_region_points_satisfy_unit_modulus():
                     assert error <= 1e-10, (make.__name__, z2, samples, z)
 
 
+def test_ray_directions_are_built_once_and_read_only():
+    directions = stability._ray_directions(64)
+    assert stability._ray_directions(64) is directions and not directions.flags.writeable
+    want = [cmath.exp(1j * (2.0 * np.pi * k / 64)) for k in range(64)]
+    assert np.array_equal(directions, want)
+    with pytest.raises(ValueError):
+        directions[0] = 0.0
+
+
 def test_region_boundary_rejects_few_samples():
     with pytest.raises(ValueError):
         region_boundary(stability_polynomial(rk4_tableau()), 0.0, angular_samples=8)

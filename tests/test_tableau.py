@@ -63,6 +63,17 @@ def test_integer_rendering_is_exact(make):
     assert math.gcd(d_b, *b) == 1
 
 
+@pytest.mark.parametrize("make", ALL_BUILTINS)
+def test_integer_rendering_is_computed_once_and_read_only(make):
+    t = make()
+    first, second = t.as_integers(), t.as_integers()
+    assert all(x is y for x, y in zip(first, second))
+    a, _, b, _ = first
+    assert not a.flags.writeable and not b.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+
+
 def test_spacing_rk6():
     assert abscissa_grid(rk6_tableau().c) == (Fraction(1, 6), (0, 1, 0, 1, 1, 1, 1, 1, 0))
 
