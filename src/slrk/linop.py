@@ -109,7 +109,8 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
     """exp(tau * A) as an operator of A's kind: elementwise for diagonal A, expm for dense.
 
     A dense exponential is stored column-major (E.T is C-contiguous), the
-    layout ``apply``'s v @ E.T reads fastest.
+    layout ``apply``'s v @ E.T reads fastest; expm squares in that layout,
+    so only an exponential it did not square is copied.
 
     Raises ValueError if tau, an entry of tau*A or (dense A) the 1-norm of
     tau*A is not finite, or if the exponential overflows.
@@ -121,8 +122,6 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
             raise ValueError(f"tau*A is not finite at tau = {tau:g}")
         # tau*A is formed again, not kept: expm drops its argument once it has scaled it.
         try:
-            # Column-major, so apply's v @ E.T reads a C-contiguous matrix; this
-            # copies only an exponential that expm did not square.
             data = (np.exp(tau * A.data) if A.kind == "diagonal"
                     else np.asfortranarray(expm(tau * A.data)))
         except ValueError:  # expm's: finite entries whose column sums overflow
