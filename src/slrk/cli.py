@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, navier_stokes
 from .integrator import NonFiniteStateError, OdeProblem, integrate, make_plan, trajectory
 from .linop import diagonal_operator
-from .order_conditions import order_residuals, verified_order
+from .order_conditions import MAX_ORDER, order_residuals, verified_order
 from .search import SearchConfig, multi_start_search, rationalize
 from .stability import region_boundary, stability_polynomial
 from .tableau import (
@@ -105,8 +105,8 @@ def _check_end_time(t: float):
 
 
 def cmd_verify(args, run: _Run) -> int:
-    if not 1 <= args.order <= 10:
-        raise _UsageError("--order must be between 1 and 10")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise _UsageError(f"--order must be between 1 and {MAX_ORDER}")
     tab = _tableau(args.tableau)
     conditions = order_residuals(tab, args.order)
     satisfied = 0
@@ -165,11 +165,8 @@ def cmd_search(args, run: _Run) -> int:
             a_exact = [[Fraction(v) for v in row] for row in res.tableau.a]
             for i in range(1, cfg.stages):
                 a_exact[i][i - 1] += cfg.c_pattern[i] - sum(a_exact[i][:i])
-            float_tab = Tableau(
-                tuple(tuple(row) for row in a_exact),
-                tuple(Fraction(v) for v in res.tableau.b),
-                name=f"search seed {idx} (float)",
-            )
+            float_tab = Tableau(a_exact, [Fraction(v) for v in res.tableau.b],
+                                name=f"search seed {idx} (float)")
             float_path = out_stem.with_name(f"{out_stem.name}_seed{idx}_float.tab")
             run.write(float_path, serialize_tableau(float_tab))
             entry["float_tableau"] = str(float_path)
@@ -266,7 +263,7 @@ def cmd_ns_converge(args, run: _Run) -> int:
         grid, args.nu, args.t, steps, reference_steps=args.ref)
     out = Path(args.out)
     lines = ["scheme,m,linf_error"]
-    lines += [f"{c.scheme},{c.n_steps},{c.linf_error:.12g}" for c in result.cells]
+    lines += [f"{name},{m},{e:.12g}" for name, row in result.errors.items() for m, e in row.items()]
     run.write(out, "\n".join(lines) + "\n")
     slines = ["scheme,fitted_slope,fit_points"]
     slines += [f"{name},{slope:.6g},{';'.join(map(str, result.fit_points[name]))}"

@@ -11,7 +11,8 @@ Two steppers:
   on its live rows (one broadcast multiply for diagonal A, one matrix
   product for dense A), and the stage sums are formed in place in
   buffers the plan keeps. Without A it is the classical explicit
-  Runge-Kutta step, for any tableau.
+  Runge-Kutta step, for any tableau. It silences numpy's overflow and
+  invalid warnings, g's included, and reports non-finite values itself.
 * ``lawson_step_general``: the integrating-factor form with one
   exponential per stage pair, for diagonal or dense A. Reference
   semantics; used as the oracle the fast stepper is tested against.
@@ -107,6 +108,7 @@ def _workspace(plan: StepPlan, u: np.ndarray):
     return plan._workspaces[key]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def slrk_step(plan: StepPlan, u: np.ndarray) -> np.ndarray:
     """One simple Lawson Runge-Kutta step (classical explicit RK when A is absent).
 

@@ -11,9 +11,9 @@ default), with axis 0 = x and axis 1 = y. The vorticity state is the full
 complex (n, n) coefficient array, Hermitian with a zero mean mode; the
 right-hand side reads only the columns 0..n/3 that the 2/3 rule keeps and
 takes four real transforms of them (Basdevant's advection form, exact on
-states inside the dealias mask). The initial data lie inside the mask, and
-a stepped state stays inside it, since the right-hand side is zero outside
-the mask and the diffusion propagator is diagonal. The grid holds the
+states inside the dealias mask). ``spectral_state`` checks that a state
+enters inside the mask, and a stepped state stays inside it, since the
+right-hand side is zero outside it and diffusion is diagonal. The grid holds the
 wavenumbers alone; ``nonlinear_rhs(grid)`` builds the one right-hand side,
 advection plus forcing, with the symbols it multiplies by and a workspace
 of its own for its temporaries.
@@ -91,6 +91,26 @@ def initial_condition(grid: SpectralGrid) -> np.ndarray:
         coeff = coeff / 2j if is_sine else coeff / 2
         w_hat[kx % n, ky % n] += coeff
         w_hat[(-kx) % n, (-ky) % n] += np.conj(coeff)
+    return spectral_state(grid, w_hat)
+
+
+def spectral_state(grid: SpectralGrid, w_hat: np.ndarray) -> np.ndarray:
+    """The state to step from a full (n, n) spectrum: w_hat itself, not a copy, once checked.
+
+    The shape must be (n, n), every entry finite, and every entry outside the
+    2/3 dealias mask exactly zero, the right-hand side's premise; a ValueError
+    names the largest one there otherwise. Check where a state enters, never
+    per step.
+    """
+    if w_hat.shape != (grid.n, grid.n):
+        raise ValueError(f"spectral state must have shape {(grid.n, grid.n)}, got {w_hat.shape}")
+    if not np.all(np.isfinite(w_hat)):
+        raise ValueError("spectral state must be finite")
+    outside = np.where(grid.dealias_mask, 0.0, np.abs(w_hat))
+    worst = np.unravel_index(np.argmax(outside), outside.shape)
+    if outside[worst] != 0.0:
+        raise ValueError(f"spectral state has |w_hat| = {outside[worst]:.6g} at (kx, ky) = "
+                         f"({grid.kx[worst]}, {grid.ky[worst]}), outside the 2/3 dealias mask")
     return w_hat
 
 
@@ -98,6 +118,8 @@ def linear_operator(grid: SpectralGrid, nu: float) -> linop.LinearOperator:
     """Diffusion: diagonal spectrum -nu*(kx^2 + ky^2); zero on the mean mode."""
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and positive, got {nu}")
+    if not np.isfinite(float(nu) * (grid.n ** 2 // 2)):  # |k|^2 peaks at 2 (n/2)^2
+        raise ValueError(f"nu*|k|^2 overflows float64 at nu = {nu}")
     return linop.diagonal_operator(-nu * grid.k_squared)
 
 
@@ -161,21 +183,19 @@ def nonlinear_rhs(grid: SpectralGrid):
     def rhs(omega_hat: np.ndarray) -> np.ndarray:
         out = np.empty((n, n), dtype=complex)
         half = out[:, :kept]
-        # Overflow here just means blow-up; the stepper's finite check on the slope raises.
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi = np.multiply(omega_hat[:, :kept], inv_k2, out=c1)
-            np.multiply(ikx, psi, out=c2)
-            np.multiply(iky, psi, out=c1)
-            for f, field in ((c1, u), (c2, minus_v)):
-                np.fft.irfft(np.fft.ifft(f, axis=0, out=f), n=n, axis=1, out=field)
-            np.fft.rfft(np.multiply(u, minus_v, out=scratch), axis=1, out=row_hat)
-            uv_hat = np.fft.fft(row_hat[:, :kept], axis=0, out=c1)
-            v2_u2 = np.multiply(np.subtract(minus_v, u, out=scratch),
-                                np.add(minus_v, u, out=u), out=scratch)
-            np.fft.rfft(v2_u2, axis=1, out=row_hat)
-            np.multiply(np.fft.fft(row_hat[:, :kept], axis=0, out=c2), kx_ky, out=half)
-            uv_hat *= ky2_minus_kx2
-            half += uv_hat
+        psi = np.multiply(omega_hat[:, :kept], inv_k2, out=c1)
+        np.multiply(ikx, psi, out=c2)
+        np.multiply(iky, psi, out=c1)
+        for f, field in ((c1, u), (c2, minus_v)):
+            np.fft.irfft(np.fft.ifft(f, axis=0, out=f), n=n, axis=1, out=field)
+        np.fft.rfft(np.multiply(u, minus_v, out=scratch), axis=1, out=row_hat)
+        uv_hat = np.fft.fft(row_hat[:, :kept], axis=0, out=c1)
+        v2_u2 = np.multiply(np.subtract(minus_v, u, out=scratch),
+                            np.add(minus_v, u, out=u), out=scratch)
+        np.fft.rfft(v2_u2, axis=1, out=row_hat)
+        np.multiply(np.fft.fft(row_hat[:, :kept], axis=0, out=c2), kx_ky, out=half)
+        uv_hat *= ky2_minus_kx2
+        half += uv_hat
         half[0, FORCING_WAVENUMBER] += forcing
         out[:, kept:n - kept + 1] = 0.0
         np.conjugate(half[rev, kept - 1:0:-1], out=out[:, n - kept + 1:])
@@ -203,25 +223,11 @@ def make_problem(grid: SpectralGrid, nu: float) -> OdeProblem:
 
 
 @dataclass(frozen=True)
-class ConvergenceCell:
-    scheme: str
-    n_steps: int
-    linf_error: float  # nan marks an unstable (non-finite) run
-
-    @property
-    def stable(self) -> bool:
-        return np.isfinite(self.linf_error)
-
-
-@dataclass(frozen=True)
 class ConvergenceResult:
-    cells: tuple[ConvergenceCell, ...]
+    errors: dict  # {scheme: {m: max error}}; nan marks a run that blew up
     slopes: dict
     fit_points: dict
     floor: float
-
-    def errors(self, scheme: str) -> dict:
-        return {c.n_steps: c.linf_error for c in self.cells if c.scheme == scheme}
 
 
 def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts: list[int],
@@ -257,33 +263,26 @@ def convergence_study(grid: SpectralGrid, nu: float, t_final: float, step_counts
         raise NonFiniteStateError(message) from err
     ref_scale = float(np.max(np.abs(w_ref)))
 
-    cells = []
+    errors = {}
     for tab in schemes:
+        row = errors[tab.name] = {}
         for m in step_counts:
             try:
-                w = final_vorticity(tab, m)
-                err = float(np.max(np.abs(w - w_ref)))
-                if not np.isfinite(err):
-                    err = float("nan")
+                err = float(np.max(np.abs(final_vorticity(tab, m) - w_ref)))
             except NonFiniteStateError:
                 err = float("nan")
-            cells.append(ConvergenceCell(scheme=tab.name, n_steps=m, linf_error=err))
+            row[m] = err if np.isfinite(err) else float("nan")
 
-    finite = [c.linf_error for c in cells if c.stable]
+    finite = [e for row in errors.values() for e in row.values() if np.isfinite(e)]
     floor = min(finite) if finite else float("nan")
 
-    slopes = {}
-    fit_points = {}
-    for tab in schemes:
-        usable = [c for c in cells
-                  if c.scheme == tab.name and c.stable
-                  and c.linf_error <= 0.01 * ref_scale
-                  and c.linf_error > 10.0 * floor]
-        fit_points[tab.name] = [c.n_steps for c in usable]
+    slopes, fit_points = {}, {}
+    for name, row in errors.items():
+        # nan compares false, so a blown-up run is never usable
+        usable = [m for m, e in row.items() if 10.0 * floor < e <= 0.01 * ref_scale]
+        fit_points[name] = usable
+        slopes[name] = float("nan")
         if len(usable) >= 2:
-            logm = np.log([c.n_steps for c in usable])
-            loge = np.log([c.linf_error for c in usable])
-            slopes[tab.name] = float(-np.polyfit(logm, loge, 1)[0])
-        else:
-            slopes[tab.name] = float("nan")
-    return ConvergenceResult(cells=tuple(cells), slopes=slopes, fit_points=fit_points, floor=floor)
+            loge = np.log([row[m] for m in usable])
+            slopes[name] = float(-np.polyfit(np.log(usable), loge, 1)[0])
+    return ConvergenceResult(errors=errors, slopes=slopes, fit_points=fit_points, floor=floor)

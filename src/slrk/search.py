@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .order_conditions import MAX_ORDER, _densities, _stage_weights, order_residuals
-from .tableau import Tableau, abscissa_grid
+from .tableau import Tableau, _tableau_from_rows, abscissa_grid
 
 DIVERGENCE_NORM = 1e6
 QUADRATIC_PHASE_NORM = 1e-3
@@ -281,13 +281,11 @@ def rationalize(tab: FloatTableau, max_denominator: int, order: int) -> Tableau 
     Returns the exact tableau only if it satisfies every order condition
     up to `order` exactly; otherwise None.
     """
-    stages = tab.b.shape[0]
-    a = [[Fraction(0)] * stages for _ in range(stages)]
-    for i in range(stages):
-        for j in range(i):
-            a[i][j] = Fraction(float(tab.a[i, j])).limit_denominator(max_denominator)
-    b = [Fraction(float(x)).limit_denominator(max_denominator) for x in tab.b]
-    exact = Tableau(tuple(tuple(row) for row in a), tuple(b))
+    def snap(x):
+        return Fraction(float(x)).limit_denominator(max_denominator)
+
+    rows = [[snap(x) for x in row[:i]] for i, row in enumerate(tab.a)]
+    exact = _tableau_from_rows(rows, [snap(x) for x in tab.b], "")
     if all(cond.residual == 0 for cond in order_residuals(exact, order)):
         return exact
     return None

@@ -197,6 +197,7 @@ def _ray_directions(angular_samples: int) -> np.ndarray:
     return directions
 
 
+@np.errstate(over="ignore")  # an overflowed magnitude reads as unstable, as it should
 def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
                     angular_samples: int = 256) -> RegionBoundary:
     """Outermost |exp(z2)*Phi(z)| = 1 crossing along rays from the origin.

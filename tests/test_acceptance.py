@@ -109,8 +109,8 @@ def test_criterion_5_navier_stokes_convergence():
     assert elapsed < 300.0
     assert 3.5 <= result.slopes["rk4"] <= 4.5
     assert 5.5 <= result.slopes["rk6"] <= 6.5
-    err4 = result.errors("rk4")
-    err6 = result.errors("rk6")
+    err4 = result.errors["rk4"]
+    err6 = result.errors["rk6"]
     common = [m for m in err4
               if np.isfinite(err4[m]) and np.isfinite(err6[m])]
     assert common

@@ -254,7 +254,13 @@ def test_ns_run_rejects_bad_counts_as_usage_error(tmp_path, capsys, bad, message
     (["integrate", "--problem", "ns", "--n", "16", "--tableau", "rk6", "--h", "50", "--steps", "2",
       "--out", "ns.json"],
      "integrate: non-finite slope at stage 2 in step 2, t = 100"),
+    # g itself overflows, outside any right-hand side's own code
+    (["integrate", "--tableau", "rk4", "--h", "0.1", "--steps", "1", "--lam1", "1e308,0"],
+     "integrate: non-finite slope at stage 2 in step 1, t = 0.1"),
+    (["ns-run", "--n", "16", "--t", "1e308", "--steps", "1", "--out", "w.bin"],
+     "ns-run: non-finite slope at stage 1 in step 1, t = 1e+308"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_blow_up_is_one_line_naming_step_and_time(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
@@ -362,7 +368,14 @@ def test_bad_counts_and_steps_are_usage_errors(tmp_path, capsys, args, message):
       "--steps", "1"], "grid size must be a power of two"),
     (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "0",
       "--h", "0.1", "--steps", "1"], "nu must be finite and positive"),
+    (["ns-run", "--n", "16", "--steps", "2", "--nu", "1e308"],
+     "nu*|k|^2 overflows float64 at nu = 1e+308"),
+    (["ns-converge", "--n", "16", "--steps", "4", "--ref", "16", "--nu", "1e308"],
+     "nu*|k|^2 overflows float64 at nu = 1e+308"),
+    (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "1e308",
+      "--h", "0.1", "--steps", "1"], "nu*|k|^2 overflows float64 at nu = 1e+308"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_ns_flags_are_usage_errors(tmp_path, capsys, args, message):
     code = main(args + ["--out", str(tmp_path / "sub" / "out.csv")])
     assert_usage_error(tmp_path, capsys, code, message)

@@ -1,5 +1,6 @@
 """Spectral benchmark: transforms, initial data, RHS structure, dissipation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -350,16 +351,41 @@ def test_stepping_keeps_modes_outside_the_mask_zero(n, tableau):
             w = slrk_step(plan, w)
         assert np.all(np.isfinite(w))
         assert np.all(w[~grid.dealias_mask] == 0)
+        assert ns.spectral_state(grid, w) is w  # checked, not copied
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 def test_initial_condition_lies_inside_the_mask(n):
     # The right-hand side reads no mode outside the mask; at n = 16 the (5, 6) pair
     # lies outside it (6 > 16/3) and is left out of the data.
     grid = ns.make_grid(n)
     w = ns.initial_condition(grid)
     assert np.all(w[~grid.dealias_mask] == 0)
+    assert ns.spectral_state(grid, w) is w
     assert np.count_nonzero(w) == (6 if n == 16 else 8)
+
+
+@pytest.mark.parametrize("kx", [11, -11])
+def test_spectral_state_names_the_largest_mode_outside_the_mask(kx):
+    # n = 32 keeps |k| <= 10; of the two modes outside the mask, the larger is named
+    grid = ns.make_grid(32)
+    w = ns.initial_condition(grid)
+    w[kx % 32, 3] = 2.5
+    w[3, -12 % 32] = 0.5j
+    message = (f"spectral state has |w_hat| = 2.5 at (kx, ky) = ({kx}, 3), "
+               "outside the 2/3 dealias mask")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ns.spectral_state(grid, w)
+
+
+def test_spectral_state_rejects_a_wrong_shape_and_a_nan():
+    grid = ns.make_grid(16)
+    with pytest.raises(ValueError, match=r"^spectral state must have shape \(16, 16\), got \(16, 9\)$"):
+        ns.spectral_state(grid, np.zeros((16, 9), dtype=complex))
+    w = ns.initial_condition(grid)
+    w[2, 0] = np.nan
+    with pytest.raises(ValueError, match="^spectral state must be finite$"):
+        ns.spectral_state(grid, w)
 
 
 def test_step_rejects_non_finite_state_at_stage_1():
@@ -427,13 +453,30 @@ def test_slrk_step_matches_general_lawson_on_benchmark():
 def test_convergence_study_smoke():
     grid = ns.make_grid(32)
     result = ns.convergence_study(grid, 1e-2, 0.5, [16, 32, 64], reference_steps=256)
-    err4 = result.errors("rk4")
-    err6 = result.errors("rk6")
+    err4 = result.errors["rk4"]
+    err6 = result.errors["rk6"]
     for m in (16, 32, 64):
         assert err6[m] < err4[m]
     # halving the step helps both schemes
     assert err4[64] < err4[16]
     assert err6[64] < err6[16]
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_study_records_blown_up_runs_as_nan_without_a_warning():
+    # h = 1.25 and 0.625 blow up for both schemes; nan compares false, so neither
+    # enters the floor or a fit, and no run warns on the way
+    result = ns.convergence_study(ns.make_grid(16), 1e-2, 5.0, [4, 8, 16, 32, 64, 128],
+                                  reference_steps=512)
+    assert list(result.errors) == ["rk4", "rk6"]
+    for row in result.errors.values():
+        assert list(row) == [4, 8, 16, 32, 64, 128]
+        assert [m for m, e in row.items() if np.isnan(e)] == [4, 8]
+    assert result.fit_points == {"rk4": [64, 128], "rk6": [32, 64]}
+    assert result.slopes == pytest.approx({"rk4": 3.9806909714547736, "rk6": 6.115287807934984},
+                                          rel=1e-9)
+    assert result.floor == pytest.approx(2.555960264549739e-07, rel=1e-9)
+    assert result.floor == result.errors["rk6"][128]
 
 
 def test_convergence_study_validation():

@@ -455,6 +455,15 @@ def test_rk4_boundary_near_the_float_range():
     assert np.all(np.abs(boundary.points) > 1e76)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z2", [710.0, 1e308])
+def test_region_past_the_exp_overflow_skips_every_ray_without_a_warning(z2):
+    # exp(Re z2) overflows to inf, which reads as unstable on every ray
+    boundary = region_boundary(stability_polynomial(rk4_tableau()), z2, 16)
+    assert boundary.points.size == 0
+    assert len(boundary.skipped_angles) == 16
+
+
 def test_positive_z2_rejected():
     with pytest.raises(ValueError):
         real_axis_boundary(stability_polynomial(rk4_tableau()), 0.5)
