@@ -91,8 +91,9 @@ def _parse_complex(flag: str, text: str) -> complex:
 
 
 def _checked(build, *args):
-    """build(*args), its ValueError a usage error; only for builders that check their input
-    before any work (make_plan, make_grid, make_problem, linear_operator, region_boundary)."""
+    """build(*args), its ValueError a usage error; only for builders that raise it before any
+    work (make_plan, make_grid, make_problem, region_boundary) or, writing no file, before a
+    run's first step (convergence_study: its argument checks and each run's make_plan)."""
     try:
         return build(*args)
     except ValueError as exc:
@@ -258,9 +259,7 @@ def cmd_ns_converge(args, run: _Run) -> int:
         raise _UsageError(f"--ref must be >= 4x the largest --steps ({4 * steps[-1]}), got {args.ref}")
     _check_end_time(args.t)
     grid = _checked(navier_stokes.make_grid, args.n)
-    _checked(navier_stokes.linear_operator, grid, args.nu)  # rejects a bad --nu before any step
-    result = navier_stokes.convergence_study(
-        grid, args.nu, args.t, steps, reference_steps=args.ref)
+    result = _checked(navier_stokes.convergence_study, grid, args.nu, args.t, steps, args.ref)
     out = Path(args.out)
     lines = ["scheme,m,linf_error"]
     lines += [f"{name},{m},{e:.12g}" for name, row in result.errors.items() for m, e in row.items()]

@@ -69,10 +69,10 @@ class StepPlan:
 def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     """Validate the tableau against the problem and precompute the propagator.
 
-    With A present the abscissae must pass ``abscissa_grid`` (ordered,
-    equally spaced, ending a whole number of grid steps below 1), which
-    also gives the shifts; exactly one propagator exp(delta_c*h*A) is
-    built, and a ValueError is raised if it overflows.
+    With A present the walk (0, c[1], ..., c[s-1], 1) must pass
+    ``abscissa_grid`` (equally spaced steps), which also gives the shifts;
+    exactly one propagator E = exp(delta_c*h*A) is built, and a ValueError
+    is raised if it overflows. Forward Euler steps as u <- E(u + h*g(u)).
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and positive, got {h}")

@@ -159,23 +159,20 @@ BUILTIN_TABLEAUX = {
 def abscissa_grid(c, delta_c=None) -> tuple[Fraction, tuple[int, ...]]:
     """Grid step and propagator shifts of ordered, equally spaced abscissae.
 
-    Walks the ends (0, c[0], ..., c[s-1], 1) of the exact abscissae c:
-    c[0] must be 0, each inner increment 0 or delta_c (by default the one
-    nonzero increment of c, so c cannot decrease), and 1 - c[s-1] a whole,
-    non-negative number of grid steps. Returns delta_c and the s+1 shifts,
-    shifts[j] = (c[j] - c[j-1]) / delta_c with shifts[0] = 0 and c[s] = 1;
+    Walks (0 = c[0], c[1], ..., c[s-1], 1) as one sequence: delta_c is the
+    given grid step or else the walk's first nonzero increment, each
+    increment before the last is 0 or delta_c, and the last, 1 - c[s-1],
+    a whole, non-negative number of grid steps. Returns delta_c and the s+1
+    shifts (increment / delta_c; forward Euler's are (0, 1) with delta_c = 1);
     raises ValueError for abscissae that one propagator cannot step.
     """
-    steps = [hi - lo for lo, hi in zip(c, c[1:])]
+    *steps, last = [hi - lo for lo, hi in zip(c, (*c[1:], 1))]
     if delta_c is None:
-        delta_c = next((d for d in steps if d), Fraction(0))
-    if c[0] != 0 or delta_c < 0 or any(d and d != delta_c for d in steps):
+        delta_c = next((d for d in steps if d), last)
+    if c[0] != 0 or delta_c <= 0 or any(d and d != delta_c for d in steps):
         raise ValueError("simple Lawson stepping with a linear operator requires ordered, "
                          "equally spaced abscissae")
-    if not any(steps):
-        raise ValueError("tableau has no nonzero abscissa increment, so the linear operator "
-                         "cannot be represented by a propagator; pass A=None to integrate g alone")
-    last = (1 - c[-1]) / delta_c
+    last /= delta_c
     if last.denominator != 1 or last < 0:
         raise ValueError(f"final abscissa {c[-1]} is not a whole number of grid steps "
                          f"below 1 (delta_c = {delta_c})")

@@ -165,6 +165,16 @@ def test_integrate_scalar_json(capsys):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_integrate_lawson_euler_json(capsys):
+    # the default rates z1 = 0.1i, z2 = -1 per step: u <- e^{z2} (1 + z1) u
+    code = main(["integrate", "--tableau", "euler", "--h", "0.1", "--steps", "10"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = complex(payload["norms"]["final_re"], payload["norms"]["final_im"])
+    want = ((1 + 0.1j) * cmath.exp(-1)) ** 10
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_integrate_ns_writes_output_file(tmp_path):
     out = tmp_path / "ns.json"
     code = main(["integrate", "--tableau", "rk6", "--problem", "ns", "--n", "32",
@@ -372,6 +382,9 @@ def test_bad_counts_and_steps_are_usage_errors(tmp_path, capsys, args, message):
      "nu*|k|^2 overflows float64 at nu = 1e+308"),
     (["ns-converge", "--n", "16", "--steps", "4", "--ref", "16", "--nu", "1e308"],
      "nu*|k|^2 overflows float64 at nu = 1e+308"),
+    # the reference run's make_plan rejects tau*A = (1e308 / 4) * A, before any step
+    (["ns-converge", "--n", "16", "--t", "1e308", "--steps", "1", "--ref", "4", "--nu", "1"],
+     "ns-converge: tau*A is not finite at tau = 4.16667e+306"),
     (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "1e308",
       "--h", "0.1", "--steps", "1"], "nu*|k|^2 overflows float64 at nu = 1e+308"),
 ])

@@ -387,10 +387,36 @@ def test_nonconforming_tableau_with_operator_rejected():
     slrk_step(plan, np.ones(1))
 
 
-def test_degenerate_spacing_with_operator_rejected():
-    A = diagonal_operator(np.array([-1.0]))
-    with pytest.raises(ValueError):
-        make_plan(OdeProblem(g=lambda v: v, A=A), euler_tableau(), 0.1)
+def test_lawson_euler_equals_general_lawson_oracle():
+    # Forward Euler's walk (0, 1) is one grid step: u <- E(u + h*g(u)) with E = exp(h*A).
+    tab = euler_tableau()
+    rng = np.random.default_rng(1)
+    n = 12
+    lam = rng.uniform(-50, 0, n) + 1j * rng.uniform(-8, 8, n)
+    alpha = rng.standard_normal(n)
+    g = lambda v: alpha * v * v + 0.2 * np.roll(v, 1)
+    cases = [(diagonal_operator(lam), rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+             (dense_operator(3 * rng.standard_normal((n, n)) - 10 * np.eye(n)),
+              rng.standard_normal(n))]
+    for A, u in cases:
+        plan = make_plan(OdeProblem(g=g, A=A), tab, 0.1)
+        assert plan.shifts == (0, 1)
+        fast = slrk_step(plan, u)
+        ref = lawson_step_general(tab, g, A, u, 0.1)
+        assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_lawson_euler_two_rate_amplification():
+    # Criterion 4's 100 (z1, z2) pairs, for the scheme whose Phi(z1) is 1 + z1.
+    z1s = [r * np.exp(1j * th) for r in (0.4, 0.8, 1.2, 1.6, 2.0)
+           for th in (np.pi / 3, 5 * np.pi / 6)]
+    z2s = [complex(re, im) for re in (0.0, -5.0, -10.0, -15.0, -20.0) for im in (0.0, 3.0)]
+    for z1 in z1s:
+        for z2 in z2s:
+            prob = OdeProblem(g=lambda v: z1 * v, A=diagonal_operator(np.array([z2])))
+            got = slrk_step(make_plan(prob, euler_tableau(), 1.0), np.ones(1, dtype=complex))[0]
+            want = np.exp(z2) * (1 + z1)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("h", [-0.1, 0.0, float("nan"), float("inf"), -float("inf")])

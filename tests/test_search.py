@@ -333,8 +333,18 @@ def test_config_validation():
     # patterns that simple Lawson stepping could not take
     with pytest.raises(ValueError, match="final abscissa 2/5 is not a whole number"):
         SearchConfig(stages=2, target_order=2, delta_c=Fraction(2, 5))
-    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
-        SearchConfig(stages=2, target_order=1, delta_c=Fraction(1, 2), c_pattern=(0, 0))
+    # every stage at 0, then two grid steps to 1: a pattern one propagator steps
+    cfg = SearchConfig(stages=2, target_order=1, delta_c=Fraction(1, 2), c_pattern=(0, 0))
+    assert cfg.c_pattern == (0, 0)
+
+
+def test_one_stage_search_finds_euler():
+    # c = (0,): the walk (0, 1) is one grid step of delta_c = 1, and b = 1 is the only root.
+    cfg = SearchConfig(stages=1, target_order=1, delta_c=1)
+    results = multi_start_search(cfg, 2)
+    assert [r.status for r in results] == ["converged"] * 2
+    exact = rationalize(results[0].tableau, 1000, 1)
+    assert exact is not None and exact.b == (1,)
 
 
 @pytest.mark.parametrize("bad,message", [

@@ -83,9 +83,9 @@ def test_spacing_rk4_heun3():
     assert abscissa_grid(heun3_tableau().c) == (Fraction(1, 3), (0, 1, 1, 1))
 
 
-def test_spacing_euler_degenerate():
-    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
-        abscissa_grid(euler_tableau().c)
+def test_spacing_euler():
+    # the walk (0, 1) has one increment, the grid step
+    assert abscissa_grid(euler_tableau().c) == (1, (0, 1))
 
 
 def test_spacing_nonconforming():
@@ -116,8 +116,8 @@ def test_spacing_with_given_grid_step():
     assert abscissa_grid((0, 0, third), third) == (third, (0, 0, 1, 2))
     with pytest.raises(ValueError, match="ordered, equally spaced abscissae"):
         abscissa_grid((0, Fraction(1, 2)), third)
-    with pytest.raises(ValueError, match="no nonzero abscissa increment"):
-        abscissa_grid((0, 0), third)
+    # stages at 0, then the whole step in three grid steps
+    assert abscissa_grid((0, 0), third) == (third, (0, 0, 3))
 
 
 @pytest.mark.parametrize("c", [
