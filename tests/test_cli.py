@@ -382,11 +382,11 @@ def test_bad_counts_and_steps_are_usage_errors(tmp_path, capsys, args, message):
      "nu*|k|^2 overflows float64 at nu = 1e+308"),
     (["ns-converge", "--n", "16", "--steps", "4", "--ref", "16", "--nu", "1e308"],
      "nu*|k|^2 overflows float64 at nu = 1e+308"),
+    (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "1e308",
+      "--h", "0.1", "--steps", "1"], "nu*|k|^2 overflows float64 at nu = 1e+308"),
     # the reference run's make_plan rejects tau*A = (1e308 / 4) * A, before any step
     (["ns-converge", "--n", "16", "--t", "1e308", "--steps", "1", "--ref", "4", "--nu", "1"],
      "ns-converge: tau*A is not finite at tau = 4.16667e+306"),
-    (["integrate", "--tableau", "rk4", "--problem", "ns", "--n", "16", "--nu", "1e308",
-      "--h", "0.1", "--steps", "1"], "nu*|k|^2 overflows float64 at nu = 1e+308"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_ns_flags_are_usage_errors(tmp_path, capsys, args, message):
