@@ -2,12 +2,13 @@
 
 Two operator variants: a diagonal spectrum (cheap elementwise
 exponentials, used by the spectral benchmark) and a dense matrix
-(exponentiated by scaling-and-squaring with a degree-13 diagonal Pade
-approximant, squared back as often as exact power norms require; see
-``expm``). A propagator exp(tau*A) is itself a LinearOperator of the same
-kind, applied by ``apply``. A dense propagator is stored column-major, so
-the stacked product v @ E.T reads a C-contiguous matrix, which BLAS
-multiplies faster at the 3-8 rows of a stage stack.
+(exponentiated in six N x N arrays by scaling-and-squaring with a
+degree-13 diagonal Pade approximant, squared back as often as exact power
+norms require; see ``expm``). A propagator exp(tau*A) is itself a
+LinearOperator of the same kind, applied by ``apply``. A dense propagator
+is stored column-major, so the stacked product v @ E.T reads a
+C-contiguous matrix, which BLAS multiplies faster at the 3-8 rows of a
+stage stack.
 """
 
 from __future__ import annotations
@@ -69,37 +70,54 @@ def expm(m: np.ndarray) -> np.ndarray:
     powers, formed unscaled), and the approximant is squared back s times:
     Higham (SIAM J. Matrix Anal. Appl. 26, 2005) with the power bound of
     Al-Mohy & Higham (ibid. 31, 2009), so a non-normal m is not overscaled.
+    m is copied once and never written; ``_expm`` works in the copy.
     Raises ValueError if |m| is not finite, which it can be when every entry is.
     """
     m = np.asarray(m)
+    return _expm(m.astype(np.result_type(m, 1.0)))
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """``expm`` of a float or complex m that the caller owns: m is overwritten.
+
+    Six N x N arrays at the peak, m's among them: m is scaled in place, U and
+    V are summed in two work arrays with out=, and m holds V once U = m @ W is
+    formed. Every product, sum and the solve has the operands and order of
+    the form r = (V - U)^-1 (V + U), U = m (a6 (b13 a6 + ...) + ... + b1 I).
+    """
     n = m.shape[0]
-    m = m.astype(np.result_type(m, 1.0), copy=False)
     norm = np.linalg.norm(m, 1) if n else 0.0
     if not np.isfinite(norm):
         raise ValueError("the matrix's 1-norm is not finite")
     # |m^4| |m^6| <= |m|^10 is finite while |m| < 2**100; a larger m is scaled below that.
     presquarings = max(0, int(np.frexp(norm)[1]) - 100)
-    if presquarings:  # m is rebound, never scaled in place: it may be the caller's array
-        m = m * 2.0 ** -presquarings
+    if presquarings:
+        m *= 2.0 ** -presquarings
     a2 = m @ m
     a4 = a2 @ a2
     a6 = a4 @ a2
     d1, d4, d6 = (np.linalg.norm(p, 1) if n else 0.0 for p in (m, a4, a6))
     alpha = min(d1, max(d4 ** 0.25, (d4 * d6) ** 0.1))
     squarings = int(np.ceil(np.log2(alpha / _THETA13))) if alpha > _THETA13 else 0
-    if squarings:  # m is rebound, never scaled in place: it may be the caller's array
-        m = m * 2.0 ** -squarings
-        for k, p in ((2, a2), (4, a4), (6, a6)):
+    if squarings:
+        for k, p in ((1, m), (2, a2), (4, a4), (6, a6)):
             p *= 2.0 ** (-k * squarings)
-    ident = np.eye(n, dtype=m.dtype if np.iscomplexobj(m) else float)
     b = _PADE13
-    u = m @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    # r is squared as its transpose, (r^T)^2 = (r^2)^T: the same product, which
-    # comes out column-major without a copy (make_propagator's layout).
-    r = np.linalg.solve(v - u, v + u).T
+    w, t = np.empty_like(a2), np.empty_like(a2)
+    def add(out, scratch, *terms):  # out += c * p for each (c, p), left to right
+        for c, p in terms:
+            out += np.multiply(c, p, out=scratch)
+    add(np.multiply(b[13], a6, out=w), t, (b[11], a4), (b[9], a2))
+    add(np.matmul(a6, w, out=t), w, (b[7], a6), (b[5], a4), (b[3], a2))
+    t.flat[::n + 1] += b[1]  # + b1 I, added on the diagonal only
+    u = np.matmul(m, t, out=w)
+    v = m if m.flags.c_contiguous else m.T  # m's buffer, row-major: BLAS bits follow layout
+    add(np.multiply(b[12], a6, out=t), v, (b[10], a4), (b[8], a2))
+    add(np.matmul(a6, t, out=v), t, (b[6], a6), (b[4], a4), (b[2], a2))
+    v.flat[::n + 1] += b[0]
+    del a2, a4, a6
+    # r is squared as r^T: (r^T)^2 = (r^2)^T comes out column-major, make_propagator's layout.
+    r = np.linalg.solve(np.subtract(v, u, out=t), np.add(v, u, out=v)).T
     for _ in range(presquarings + squarings):
         r = r @ r
     return r.T
@@ -108,9 +126,9 @@ def expm(m: np.ndarray) -> np.ndarray:
 def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
     """exp(tau * A) as an operator of A's kind: elementwise for diagonal A, expm for dense.
 
-    A dense exponential is stored column-major (E.T is C-contiguous), the
-    layout ``apply``'s v @ E.T reads fastest; expm squares in that layout,
-    so only an exponential it did not square is copied.
+    tau*A is formed once, and ``_expm`` works in it. A dense exponential is
+    stored column-major (E.T is C-contiguous), the layout ``apply``'s v @ E.T
+    reads fastest; expm squares in it, so only an unsquared one is copied.
 
     Raises ValueError if tau, an entry of tau*A or (dense A) the 1-norm of
     tau*A is not finite, or if the exponential overflows.
@@ -118,12 +136,12 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(tau * A.data)):
+        tau_a = tau * A.data
+        if not np.all(np.isfinite(tau_a)):
             raise ValueError(f"tau*A is not finite at tau = {tau:g}")
-        # tau*A is formed again, not kept: expm drops its argument once it has scaled it.
         try:
-            data = (np.exp(tau * A.data) if A.kind == "diagonal"
-                    else np.asfortranarray(expm(tau * A.data)))
+            data = (np.exp(tau_a) if A.kind == "diagonal" else
+                    np.asfortranarray(_expm(tau_a.astype(np.result_type(tau_a, 1.0), copy=False))))
         except ValueError:  # expm's: finite entries whose column sums overflow
             raise ValueError(f"the 1-norm of tau*A is not finite at tau = {tau:g}") from None
     try:

@@ -166,9 +166,9 @@ def abscissa_grid(c, delta_c=None) -> tuple[Fraction, tuple[int, ...]]:
     shifts (increment / delta_c; forward Euler's are (0, 1) with delta_c = 1);
     raises ValueError for abscissae that one propagator cannot step.
     """
+    c = [_rat(ci) for ci in c]
     *steps, last = [hi - lo for lo, hi in zip(c, (*c[1:], 1))]
-    if delta_c is None:
-        delta_c = next((d for d in steps if d), last)
+    delta_c = next((d for d in steps if d), last) if delta_c is None else _rat(delta_c)
     if c[0] != 0 or delta_c <= 0 or any(d and d != delta_c for d in steps):
         raise ValueError("simple Lawson stepping with a linear operator requires ordered, "
                          "equally spaced abscissae")

@@ -1,11 +1,14 @@
 """Propagators: elementwise exponentials and the dense matrix exponential."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from slrk.linop import (
+    _PADE13,
+    _THETA13,
     apply,
     dense_operator,
     diagonal_operator,
@@ -23,6 +26,99 @@ def taylor_expm(m, terms=30):
         term = term @ m / k
         acc = acc + term
     return acc
+
+
+def reference_expm(m):
+    """Expression form of expm: scaled copies, np.eye and a temporary per term.
+
+    The same scaling rule, products, solve and squarings as expm, summed
+    left to right as written, so expm must reproduce it bit for bit.
+    """
+    m = np.asarray(m)
+    n = m.shape[0]
+    m = m.astype(np.result_type(m, 1.0), copy=False)
+    norm = np.linalg.norm(m, 1) if n else 0.0
+    presquarings = max(0, int(np.frexp(norm)[1]) - 100)
+    if presquarings:
+        m = m * 2.0 ** -presquarings
+    a2 = m @ m
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    d1, d4, d6 = (np.linalg.norm(p, 1) if n else 0.0 for p in (m, a4, a6))
+    alpha = min(d1, max(d4 ** 0.25, (d4 * d6) ** 0.1))
+    squarings = int(np.ceil(np.log2(alpha / _THETA13))) if alpha > _THETA13 else 0
+    if squarings:
+        m = m * 2.0 ** -squarings
+        a2, a4, a6 = (p * 2.0 ** (-k * squarings) for k, p in ((2, a2), (4, a4), (6, a6)))
+    ident = np.eye(n, dtype=m.dtype if np.iscomplexobj(m) else float)
+    b = _PADE13
+    u = m @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u).T
+    for _ in range(presquarings + squarings):
+        r = r @ r
+    return r.T
+
+
+def random_dense(seed, n, norm, dtype=float):
+    """A random n x n matrix of the given dtype, scaled to the given 1-norm."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is complex:
+        m += 1j * rng.standard_normal((n, n))
+    return m * (norm / np.linalg.norm(m, 1))
+
+
+RANDOM_DENSE = {f"real-{norm:g}": random_dense(40, 40, norm) for norm in (1e-3, 0.5, 3, 40, 1e3)}
+ORACLE_CASES = {
+    **RANDOM_DENSE,
+    "complex": random_dense(30, 30, 20.0, complex),
+    **{f"non-normal-{b:g}": np.array([[-1.0, b], [0.0, -20.0]]) for b in (1e3, 1e6, 1e8, 1e10)},
+    # strictly upper triangular, so exp(m) is finite although |m| > 2**100 presquares it
+    "presquared": np.triu(random_dense(5, 6, 2.0 ** 102), 1),
+    "1x1": np.array([[-2.5]]),
+    "0x0": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_expm_equals_expression_form(name):
+    m = ORACLE_CASES[name]
+    before = m.copy()
+    got = expm(m)
+    assert np.array_equal(m, before)  # expm works in a copy, never the caller's array
+    want = reference_expm(m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if name == "presquared":
+        assert np.linalg.norm(m, 1) > 2.0 ** 100 and np.all(np.isfinite(got))
+    if name in RANDOM_DENSE:
+        # Bytes too: b1 and b0 are added on the diagonal only, where the expression
+        # form added b * I, so a zero could differ only in sign, and only off the
+        # diagonal (the form's -0.0 + 0.0 is +0.0); these matrices have none.
+        assert got.tobytes() == want.tobytes()
+
+
+def test_dense_propagator_peak_memory():
+    # make_propagator forms tau*A once and expm works in it and five more N x N
+    # arrays. LAPACK's two copies of the operands in the solve are allocated
+    # outside numpy and are not traced.
+    n = 256
+    rng = np.random.default_rng(256)
+    lam = -(10.0 ** rng.uniform(-2.0, 3.0, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = dense_operator((q * lam) @ q.T)
+    tau = 0.05
+    assert np.max(np.abs(tau * lam)) > _THETA13  # the squaring loop runs
+    tracemalloc.start()
+    try:
+        e = make_propagator(A, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.data.T.flags.c_contiguous
+    assert peak <= 6.5 * n * n * 8
 
 
 def test_diagonal_propagator_entries():
@@ -129,7 +225,7 @@ def test_expm_large_norm_symmetric_matches_eigendecomposition():
     assert np.max(np.abs(tau * lam)) > 5.372  # beyond theta_13: the squaring loop runs
     before = m.copy()
     got = expm(m)
-    assert np.array_equal(m, before)  # scaled copies only, never the caller's array
+    assert np.array_equal(m, before)  # expm works in a copy, never the caller's array
     assert relative_error(got, (q * np.exp(tau * lam)) @ q.T) <= 1e-13
 
 

@@ -118,6 +118,20 @@ def test_spacing_with_given_grid_step():
         abscissa_grid((0, Fraction(1, 2)), third)
     # stages at 0, then the whole step in three grid steps
     assert abscissa_grid((0, 0), third) == (third, (0, 0, 3))
+    # a plain int grid step is exact too
+    assert abscissa_grid((0, 0), 1) == (Fraction(1), (0, 0, 1))
+
+
+@pytest.mark.parametrize("c", [(0,), (0, 1), (0, 0), (0, Fraction(1, 2))])
+def test_spacing_of_plain_int_abscissae(c):
+    # int abscissae are exact: the same grid as Fractions (int / int used to be a float)
+    assert abscissa_grid(c) == abscissa_grid(tuple(Fraction(ci) for ci in c))
+
+
+def test_spacing_rejects_float_abscissae():
+    for c, delta_c in [((0, 0.5), None), ((0.0,), None), ((0,), 1.0)]:
+        with pytest.raises(TypeError, match="exact rationals, not floats"):
+            abscissa_grid(c, delta_c)
 
 
 @pytest.mark.parametrize("c", [
