@@ -11,8 +11,11 @@ scan up to 256 rays at a time, 32 radii per pass from the outermost
 inward, each ray leaving at its first stable radius; each block's crossing
 rays are then solved together by Illinois steps (regula falsi that halves
 the kept end's value when the same end is replaced twice running), with
-the scan's own array Horner loop. The real-axis boundary keeps a scalar
-bisection: a one-ray array call costs more than it.
+the scan's own array Horner loop. Only rays with theta in [0, pi] are
+solved: Phi's coefficients are real and IEEE arithmetic is symmetric under
+conjugation, so the ray in the exact conjugate direction takes the same
+radius bit for bit. The real-axis boundary keeps a scalar bisection: a
+one-ray array call costs more than it.
 
 The scan starts past the circles |z| = r that a coefficient bound proves
 unstable. There |Phi(z)| >= |c_d| r^d - sum_{k<d} |c_k| r^k; where exp(Re z2)
@@ -190,9 +193,11 @@ def _ray_angles(angular_samples: int) -> np.ndarray:
 
 @lru_cache
 def _ray_directions(angular_samples: int) -> np.ndarray:
-    """exp(i*theta) of each ray, built once per ray count; the array is read-only."""
+    """exp(i*theta) of rays 0..N//2, ray N-k the exact conjugate of ray k; read-only."""
     # cmath.exp per ray: np.exp/np.cos may use vector routines with other bits.
-    directions = np.array([cmath.exp(1j * theta) for theta in _ray_angles(angular_samples)])
+    half = angular_samples // 2 + 1
+    upper = [cmath.exp(1j * theta) for theta in _ray_angles(angular_samples)[:half]]
+    directions = np.array(upper + [z.conjugate() for z in upper[angular_samples - half:0:-1]])
     directions.flags.writeable = False
     return directions
 
@@ -206,26 +211,28 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
     leading term dominates, and leaves the scan at its first stable radius;
     the outermost sign change is solved by Illinois steps down to a
     unit-modulus residual of 1e-10, one block of at most 256 rays at a time.
-    Rays with no crossing are recorded in skipped_angles. The scan
-    starts at the 32-radius block holding the first circle that the bound
+    Only rays 0..N//2 (theta <= pi) are solved: ray N-k, the exact conjugate
+    of ray k, takes ray k's radius, as solving it gives bit for bit. Rays
+    with no crossing are recorded in skipped_angles. The scan starts at the
+    32-radius block holding the first circle that the bound
     exp(Re z2) * (|c_d| r^d - sum_{k<d} |c_k| r^k), less its rounding slack
     and margin, does not prove unstable; every point it skips would read > 1.
     """
-    if angular_samples < 16:
-        raise ValueError(f"angular_samples must be >= 16, got {angular_samples}")
-    z2 = complex(z2)
-    thetas = _ray_angles(angular_samples)
-    directions = _ray_directions(angular_samples)
+    if not isinstance(angular_samples, (int, np.integer)) or angular_samples < 16:
+        raise ValueError(f"angular_samples must be an integer >= 16, got {angular_samples!r}")
+    n, z2 = int(angular_samples), complex(z2)
+    half = n // 2 + 1
+    thetas, directions = _ray_angles(n), _ray_directions(n)
     radii = np.linspace(_radius_bound(phi, z2), 0.0, _N_SCAN + 1)
     # first_in stays 0 both when a ray has no stable point and when it is
     # stable out to the bound: neither has a crossing to bracket.
-    first_in = np.zeros(angular_samples, dtype=np.intp)
-    radius = np.zeros(angular_samples)
+    first_in = np.zeros(n, dtype=np.intp)
+    radius = np.zeros(n)
     # Starting on a block boundary of the full scan, every array evaluated is
     # one that the full scan evaluates, and first_in is the full scan's.
     skip = _first_unproven_radius(phi, z2, radii) // _RADIUS_BLOCK * _RADIUS_BLOCK
-    for start in range(0, angular_samples, _RAY_BLOCK):
-        block = np.arange(start, min(start + _RAY_BLOCK, angular_samples))
+    for start in range(0, half, _RAY_BLOCK):
+        block = np.arange(start, min(start + _RAY_BLOCK, half))
         rays = block
         for r0 in range(skip, _N_SCAN + 1, _RADIUS_BLOCK):
             z = radii[r0:r0 + _RADIUS_BLOCK] * directions[rays, None]
@@ -238,6 +245,7 @@ def region_boundary(phi: StabilityPolynomial, z2: complex = 0j,
         rays = block[first_in[block] > 0]
         rows = first_in[rays]
         radius[rays] = _bisect_rays(phi.floats, z2, radii[rows], radii[rows - 1], directions[rays])
+    first_in[half:], radius[half:] = first_in[n - half:0:-1], radius[n - half:0:-1]
     crossing = first_in > 0
     # radius is real, so radius * direction rounds as the scalar product does.
     return RegionBoundary(points=radius[crossing] * directions[crossing],
@@ -264,9 +272,10 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
     if first_out == 0:
         return 0.0
     lo, hi = xs[first_out - 1], xs[first_out]  # lo stable, hi unstable, lo > hi
+    scale = np.exp(z2)
     while abs(lo - hi) > 1e-6:
         mid = 0.5 * (lo + hi)
-        stable = np.exp(z2) * abs(phi(complex(mid))) <= 1.0
+        stable = scale * abs(phi(complex(mid))) <= 1.0
         if mid == (lo if stable else hi):
             break  # no float lies strictly between lo and hi: the bracket cannot shrink
         if stable:

@@ -46,6 +46,14 @@ def bisect_oracle(f, lo, hi, tol=1e-10):
     return lo
 
 
+def reference_directions(angular_samples):
+    """exp(i*theta_k) for k <= N//2, and the exact conjugate of ray N-k above that."""
+    thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+    upper = [cmath.exp(1j * theta) for theta in thetas[:angular_samples // 2 + 1]]
+    return [upper[k] if k < len(upper) else upper[angular_samples - k].conjugate()
+            for k in range(angular_samples)]
+
+
 def reference_region_boundary(phi, z2, angular_samples):
     """Per-ray oracle: scan each ray alone, then solve it alone by Illinois steps."""
     z2 = complex(z2)
@@ -60,8 +68,8 @@ def reference_region_boundary(phi, z2, angular_samples):
             acc = acc * (r * direction) + float(ck)
         return np.exp(z2.real) * np.abs(acc[0]) - 1.0
 
-    for theta in 2.0 * np.pi * np.arange(angular_samples) / angular_samples:
-        direction = cmath.exp(1j * theta)
+    thetas = 2.0 * np.pi * np.arange(angular_samples) / angular_samples
+    for theta, direction in zip(thetas, reference_directions(angular_samples)):
         radii = np.linspace(rmax, 0.0, 513)
         z = radii * direction
         acc = np.zeros_like(z)
@@ -349,17 +357,66 @@ def test_region_points_satisfy_unit_modulus():
 
 
 def test_ray_directions_are_built_once_and_read_only():
-    directions = stability._ray_directions(64)
-    assert stability._ray_directions(64) is directions and not directions.flags.writeable
-    want = [cmath.exp(1j * (2.0 * np.pi * k / 64)) for k in range(64)]
-    assert np.array_equal(directions, want)
-    with pytest.raises(ValueError):
-        directions[0] = 0.0
+    for samples in (16, 17, 64, 257):
+        directions = stability._ray_directions(samples)
+        assert stability._ray_directions(samples) is directions and not directions.flags.writeable
+        assert directions.tobytes() == np.array(reference_directions(samples)).tobytes()
+        # A mirrored ray differs from exp(i*theta_k) only as theta_k and 2*pi - theta_(N-k)
+        # round apart, by up to 1.4 ulps of 2*pi at 16-4096 rays (0.8 at 64).
+        exact = [cmath.exp(1j * (2.0 * np.pi * k / samples)) for k in range(samples)]
+        assert np.abs(directions - exact).max() <= 2 * np.spacing(2.0 * np.pi), samples
+        with pytest.raises(ValueError):
+            directions[0] = 0.0
+
+
+@pytest.mark.parametrize("make", BUILTINS)
+def test_region_boundary_mirrors_the_upper_half_plane(make, monkeypatch):
+    phi = stability_polynomial(make())
+    lower = []
+
+    def upper_only(coeffs, z2, z):
+        lower.append(bool((z.imag < 0.0).any()))
+        return magnitude(coeffs, z2, z)
+
+    magnitude = stability._effective_magnitude
+    monkeypatch.setattr(stability, "_effective_magnitude", upper_only)
+    for samples in (16, 17, 256, 257, 300, 1000):
+        thetas = stability._ray_angles(samples)
+        k = np.arange(1, (samples + 1) // 2)  # ray samples-k mirrors ray k
+        for z2 in (0j, -10 + 0j, -3 + 4j, 1 + 2j):
+            boundary = region_boundary(phi, z2, samples)
+            crossing = ~np.isin(thetas, boundary.skipped_angles)
+            # skipped angles pair up as theta <-> 2*pi - theta
+            assert np.array_equal(crossing[k], crossing[samples - k]), (z2, samples)
+            assert crossing.all() == (z2 != 1 + 2j), (z2, samples)
+            points = np.zeros(samples, dtype=complex)
+            points[crossing] = boundary.points
+            pair = k[crossing[k]]
+            # Bit for bit, up to the sign of a zero: a ray whose only stable point
+            # is the origin returns 0 * direction, +0 in both halves.
+            assert ((points[pair].conj() + 0.0).tobytes()
+                    == (points[samples - pair] + 0.0).tobytes()), (z2, samples)
+    assert lower and not any(lower)
 
 
 def test_region_boundary_rejects_few_samples():
     with pytest.raises(ValueError):
         region_boundary(stability_polynomial(rk4_tableau()), 0.0, angular_samples=8)
+
+
+@pytest.mark.parametrize("samples", [256.0, 100.5, True, np.float64(64.0)], ids=repr)
+def test_region_boundary_rejects_non_integer_samples(samples):
+    message = f"angular_samples must be an integer >= 16, got {samples!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        region_boundary(stability_polynomial(rk4_tableau()), 0.0, samples)
+
+
+@pytest.mark.parametrize("samples", [np.int64(64), np.int32(17), np.uint16(300)], ids=repr)
+def test_region_boundary_accepts_numpy_integer_samples(samples):
+    phi = stability_polynomial(rk4_tableau())
+    got, want = region_boundary(phi, -3.0, samples), region_boundary(phi, -3.0, int(samples))
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.skipped_angles == want.skipped_angles
 
 
 def test_rk4_negative_real_axis_crossing():
