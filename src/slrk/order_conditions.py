@@ -4,10 +4,11 @@ A scheme has order p iff the elementary weight of every rooted tree t
 with at most p nodes equals 1/density(t); order 6 involves 37 trees.
 
 The stage weights of all trees come from one program over their distinct
-subtrees, which forms each stage vector a.phi once per distinct child
-subtree. The same program runs on float arrays for the search residual
-(slrk.search) and, for the exact verification here, on object arrays of
-Python ints: a is scaled by the lcm d of its denominators, so phi(t)
+subtrees, which forms each stage vector a.phi by one stacked matmul, once
+per distinct child subtree and only when a parent first needs it. The
+same program runs on float arrays for the search residual and its
+Jacobian (slrk.search) and, for the exact verification here, on object
+arrays of Python ints: a is scaled by the lcm d of its denominators, so phi(t)
 comes out scaled by d^(order(t)-1) and each weight is one Fraction
 formed at the end, with no Fraction arithmetic inside the program.
 Tree densities are likewise built once per program (`_densities`).
@@ -93,40 +94,37 @@ def enumerate_trees(max_order: int) -> list[RootedTree]:
 
 
 @lru_cache(maxsize=None)
-def _program(max_order: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
+def _program(max_order: int) -> tuple[tuple[int, ...], ...]:
     """The trees of order <= max_order as a program over distinct subtrees.
 
     enumerate_trees orders trees by node count, so every subtree of a tree
-    is itself an earlier tree. Step k holds the indices of tree k's children
-    and whether any tree holds tree k as a child; only then is a.phi_k
-    needed, and it is formed once and shared by all those parents.
+    is itself an earlier tree. Step k holds the indices of tree k's children.
     """
     trees = enumerate_trees(max_order)
     index = {t: k for k, t in enumerate(trees)}
-    children = [tuple(index[c] for c in t.children) for t in trees]
-    used = {kid for kids in children for kid in kids}
-    return tuple((kids, k in used) for k, kids in enumerate(children))
+    return tuple(tuple(index[c] for c in t.children) for t in trees)
 
 
 def _stage_weights(a: np.ndarray, max_order: int):
     """Yield phi(t), shape (batch, s), for each tree in enumerate_trees order.
 
     `a` has shape (batch, s, s): float64 for the search residual, or object
-    dtype holding Fractions (batch 1) for exact verification. The
-    elementary weight of tree t is b . phi(t). Each tree is evaluated only
-    when the generator reaches it, so a caller that stops early pays only
-    for the trees it has seen.
+    dtype holding Python ints (batch 1) for exact verification. The
+    elementary weight of tree t is b . phi(t). Each a.phi_k is formed by one
+    stacked matmul when a parent first needs it, and shared by all its
+    parents. Each tree is evaluated only when the generator reaches it, so
+    a caller that stops early pays only for the trees it has seen.
     """
-    a_phi = {}
-    for node, (kids, used) in enumerate(_program(max_order)):
-        if kids:
-            acc = a_phi[kids[0]]
-            for kid in kids[1:]:
-                acc = acc * a_phi[kid]
-        else:
+    phi, a_phi = [], {}
+    for kids in _program(max_order):
+        acc = None
+        for kid in kids:
+            if kid not in a_phi:
+                a_phi[kid] = (a @ phi[kid][..., None])[..., 0]
+            acc = a_phi[kid] if acc is None else acc * a_phi[kid]
+        if acc is None:  # the leaf
             acc = np.ones(a.shape[:2], dtype=a.dtype)
-        if used:
-            a_phi[node] = np.einsum("bij,bj->bi", a, acc)
+        phi.append(acc)
         yield acc
 
 
@@ -137,7 +135,7 @@ def _densities(max_order: int) -> tuple[int, ...]:
     The density of t is order(t) times the product of its children's densities.
     """
     gammas = []
-    for t, (kids, _) in zip(enumerate_trees(max_order), _program(max_order)):
+    for t, kids in zip(enumerate_trees(max_order), _program(max_order)):
         gammas.append(t.order * math.prod(gammas[kid] for kid in kids))
     return tuple(gammas)
 

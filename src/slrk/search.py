@@ -6,13 +6,14 @@ the deviation of each nontrivial abscissa from a prescribed equally
 spaced grid (one that ``tableau.abscissa_grid`` accepts, so every root
 is a scheme that simple Lawson stepping can take), giving an
 overdetermined system solved iteratively by x <- x - gamma * pinv(J) F
-with a finite-difference Jacobian and an SVD pseudoinverse. Converged
-floating roots are only trusted after rationalization reproduces the
-order conditions exactly.
+with an SVD pseudoinverse. Converged floating roots are only trusted
+after rationalization reproduces the order conditions exactly.
 
 The residual evaluates the rooted trees with the subtree program of
 slrk.order_conditions, the one exact verification uses, and forms all
-elementary weights with a single contraction with b.
+elementary weights with a single contraction with b. The tree rows are
+linear in b, so the Jacobian's b-columns are that program's stage weights
+phi(t), exactly; only its a-columns are central differences.
 
 Roots of this system form manifolds, so the Jacobian carries genuinely
 tiny singular values away from noise level; a plain truncated
@@ -162,8 +163,8 @@ def pack(tab: FloatTableau) -> np.ndarray:
     return np.concatenate([tab.b, tab.a[_strict_lower(stages)]])
 
 
-def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
-    """Residuals for a batch of packed vectors: a row each, one column per tree, then c_2..c_s."""
+def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Residual rows (one column per tree, then c_2..c_s) and phi stack (batch, trees, s)."""
     s = cfg.stages
     xs = np.asarray(xs, dtype=float)
     nbatch = xs.shape[0]
@@ -176,7 +177,7 @@ def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     phi_all = np.concatenate(phi, axis=1).reshape(nbatch, len(phi), s)
     f_trees = np.einsum("bi,bni->bn", b, phi_all) - _inv_density(cfg.target_order)
     f_absc = a.sum(axis=2)[:, 1:] - cfg._c_targets
-    return np.concatenate([f_trees, f_absc], axis=1)
+    return np.concatenate([f_trees, f_absc], axis=1), phi_all
 
 
 def residual_vector(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
@@ -184,20 +185,28 @@ def residual_vector(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n_unknowns,):
         raise ValueError(f"expected {cfg.n_unknowns} unknowns, got shape {x.shape}")
-    return _residual_batch(x[None, :], cfg)[0]
+    return _residual_batch(x[None, :], cfg)[0][0]
 
 
 def jacobian(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
-    """Central-difference Jacobian of the residual, step 1e-6*max(1, |x_m|)."""
+    """Jacobian of the residual: exact b-columns, central differences over a.
+
+    The tree rows are linear in b with b-columns phi(t), and the abscissa rows
+    do not depend on b. One residual batch holds x +- h_m e_m for each a-unknown
+    m, h_m = 1e-6*max(1, |x_m|), then x itself for phi.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n_unknowns,):
         raise ValueError(f"expected {cfg.n_unknowns} unknowns, got shape {x.shape}")
-    dim = x.shape[0]
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    perturb = np.diag(h)
-    batch = np.concatenate([x[None, :] + perturb, x[None, :] - perturb], axis=0)
-    f = _residual_batch(batch, cfg)
-    return ((f[:dim] - f[dim:]) / (2.0 * h[:, None])).T
+    s, dim = cfg.stages, x.shape[0]
+    h = 1e-6 * np.maximum(1.0, np.abs(x[s:]))
+    perturb = np.zeros((dim - s, dim))
+    perturb[:, s:] = np.diag(h)
+    f, phi = _residual_batch(np.concatenate([x + perturb, x - perturb, x[None, :]]), cfg)
+    jac = np.zeros((f.shape[1], dim))
+    jac[:phi.shape[1], :s] = phi[-1]
+    jac[:, s:] = ((f[:dim - s] - f[dim - s:-1]) / (2.0 * h[:, None])).T
+    return jac
 
 
 def search(cfg: SearchConfig) -> SearchResult:
@@ -248,7 +257,7 @@ def search(cfg: SearchConfig) -> SearchResult:
             trial = lambdas[start:start + size]
             xs = np.stack([x - gamma * (vk @ (kept / (kept ** 2 + (lam * sigma[0]) ** 2) * uf))
                            for lam in trial])
-            fs = _residual_batch(xs, cfg)
+            fs = _residual_batch(xs, cfg)[0]
             norms = np.abs(fs).max(axis=1)
             lower = np.flatnonzero(norms < resid)
             if lower.size:

@@ -77,7 +77,7 @@ def subtree_size_product(t):
 
 
 def reference_residual_batch(xs, cfg):
-    """Plain per-tree evaluator: one einsum per child, one per weight."""
+    """Plain per-tree evaluator: one matmul per child, one einsum per weight."""
     s = cfg.stages
     nbatch = xs.shape[0]
     b = xs[:, :s]
@@ -88,7 +88,7 @@ def reference_residual_batch(xs, cfg):
     def phi(tree):
         if not tree.children:
             return np.ones((nbatch, s))
-        return reduce(mul, [np.einsum("bij,bj->bi", a, phi(c)) for c in tree.children])
+        return reduce(mul, [(a @ phi(c)[..., None])[..., 0] for c in tree.children])
 
     trees = enumerate_trees(cfg.target_order)
     weights = np.stack([np.einsum("bi,bi->b", b, phi(t)) for t in trees], axis=1)
@@ -106,7 +106,7 @@ def test_residual_batch_bitwise_matches_per_tree_reference(stages, order):
     for nbatch in (1, 2, 2 * cfg.n_unknowns):
         for scale in (1e-3, 0.5, 3.0):
             xs = scale * rng.standard_normal((nbatch, cfg.n_unknowns))
-            got = search_module._residual_batch(xs, cfg)
+            got = search_module._residual_batch(xs, cfg)[0]
             assert got.shape == (nbatch, len(enumerate_trees(order)) + stages - 1)
             assert np.array_equal(got, reference_residual_batch(xs, cfg))
 
@@ -114,7 +114,7 @@ def test_residual_batch_bitwise_matches_per_tree_reference(stages, order):
 def test_residual_batch_rows_independent_of_batch():
     cfg = rk6_config()
     xs = 0.5 * np.random.default_rng(3).standard_normal((2 * cfg.n_unknowns + 1, 36))
-    batch = search_module._residual_batch(xs, cfg)
+    batch = search_module._residual_batch(xs, cfg)[0]
     for k, x in enumerate(xs):
         assert np.array_equal(batch[k], residual_vector(x, cfg))
 
@@ -150,7 +150,7 @@ def test_residual_batch_rows_equal_residual_vector_at_small_batches(stages):
     for nbatch in range(1, 9):
         for scale in (1e-3, 0.5, 3.0):
             xs = scale * rng.standard_normal((nbatch, cfg.n_unknowns))
-            batch = search_module._residual_batch(xs, cfg)
+            batch = search_module._residual_batch(xs, cfg)[0]
             for x, row in zip(xs, batch):
                 assert np.array_equal(row, residual_vector(x, cfg))
 
@@ -284,8 +284,10 @@ def test_search_evaluates_residual_once_per_trial_step(monkeypatch, stages, rng_
     assert any(len(r) > 1 for r in rounds)  # some first rounds were all rejected
     assert counts["jacobian"] == iterations
     assert counts["residual"] == 1  # at the start only; it evaluates a batch of 1
-    # the start, then per iteration the Jacobian's batch and one batch per trial round
-    assert batches == [1] + [size for r in rounds for size in [2 * cfg.n_unknowns] + r]
+    # the start, then per iteration the Jacobian's batch (x +- h e_m over the a-unknowns,
+    # then x) and one batch per trial round
+    jac_batch = 2 * (cfg.n_unknowns - cfg.stages) + 1
+    assert batches == [1] + [size for r in rounds for size in [jac_batch] + r]
     assert len(batches) == 1 + iterations + sum(map(len, rounds))
 
 
@@ -396,6 +398,87 @@ def test_jacobian_matches_forward_difference_oracle():
         xp[m] += h
         oracle[:, m] = (residual_vector(xp, cfg) - f0) / h
     assert np.linalg.norm(j - oracle) / np.linalg.norm(oracle) <= 1e-4
+
+
+def perturbed_rk6():
+    """rk6 moved by small rationals, so that no tree residual is zero."""
+    t6 = rk6_tableau()
+    a = [list(row) for row in t6.a]
+    b = list(t6.b)
+    a[3][1] += Fraction(1, 7)
+    a[6][4] -= Fraction(2, 13)
+    a[7][2] += Fraction(1, 9)
+    b[2] += Fraction(1, 11)
+    return Tableau(tuple(tuple(row) for row in a), tuple(b))
+
+
+def exact_stage_weights(tab, order):
+    """phi(t) of every tree of order <= order, in Fractions, one tree at a time."""
+    a = [[Fraction(v) for v in row] for row in tab.a]
+
+    def phi(tree):
+        vec = [Fraction(1)] * len(a)
+        for child in tree.children:
+            sub = phi(child)
+            vec = [v * sum(aij * sj for aij, sj in zip(row, sub)) for v, row in zip(vec, a)]
+        return vec
+
+    return [phi(t) for t in enumerate_trees(order)]
+
+
+def test_jacobian_b_columns_are_exact_stage_weights():
+    cfg = rk6_config()
+    tab = perturbed_rk6()
+    af, bf, _ = tab.as_floats()
+    x = pack(FloatTableau(a=af, b=bf))
+    assert np.min(np.abs(residual_vector(x, cfg)[:37])) > 1e-6
+    want = np.array([[float(v) for v in phi] for phi in exact_stage_weights(tab, 6)])
+    got = jacobian(x, cfg)[:37, :8]
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("stages", [7, 8])
+def test_jacobian_abscissa_rows_have_zero_b_columns(stages):
+    cfg = rk6_config() if stages == 8 else s7_config()
+    x = 0.5 * np.random.default_rng(50 + stages).standard_normal(cfg.n_unknowns)
+    j = jacobian(x, cfg)
+    assert j.shape == (37 + stages - 1, cfg.n_unknowns)
+    assert np.all(j[37:, :stages] == 0.0)
+
+
+def central_difference_jacobian(x, cfg):
+    """Every column a central difference of residual_vector, step 1e-6*max(1, |x_m|)."""
+    cols = []
+    for m in range(cfg.n_unknowns):
+        h = 1e-6 * max(1.0, abs(x[m]))
+        xp, xm = x.copy(), x.copy()
+        xp[m] += h
+        xm[m] -= h
+        cols.append((residual_vector(xp, cfg) - residual_vector(xm, cfg)) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("stages", [7, 8])
+def test_jacobian_matches_central_differences(stages):
+    cfg = rk6_config() if stages == 8 else s7_config()
+    rng = np.random.default_rng(60 + stages)
+    for scale in (0.1, 0.5, 1.5):
+        x = scale * rng.standard_normal(cfg.n_unknowns)
+        j = jacobian(x, cfg)
+        oracle = central_difference_jacobian(x, cfg)
+        assert np.linalg.norm(j - oracle) <= 1e-7 * np.linalg.norm(oracle)
+        # the a-columns are those central differences, bit for bit
+        assert np.array_equal(j[:, stages:], oracle[:, stages:])
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_jacobian_with_no_a_unknowns(order):
+    # one stage: a is empty, c = (0,), and every tree but the leaf has phi = a.(...) = 0
+    cfg = SearchConfig(stages=1, target_order=order, delta_c=1)
+    j = jacobian(np.array([0.7]), cfg)
+    want = np.zeros((len(enumerate_trees(order)), 1))
+    want[0, 0] = 1.0
+    assert np.array_equal(j, want)
 
 
 def first_newton_step(x, cfg):
