@@ -119,6 +119,17 @@ def test_residual_batch_rows_independent_of_batch():
         assert np.array_equal(batch[k], residual_vector(x, cfg))
 
 
+def perturbed_rk6():
+    """rk6 moved by small rationals, so that no tree residual is zero."""
+    t6 = rk6_tableau()
+    a = [list(row) for row in t6.a]
+    b = list(t6.b)
+    a[3][1] += Fraction(1, 7)
+    a[6][4] -= Fraction(2, 13)
+    b[2] += Fraction(1, 11)
+    return Tableau(tuple(tuple(row) for row in a), tuple(b))
+
+
 def test_rk6_float_residuals_match_exact_order_residuals():
     cfg = rk6_config()
     f = residual_vector(rk6_packed(), cfg)
@@ -127,13 +138,7 @@ def test_rk6_float_residuals_match_exact_order_residuals():
     assert np.max(np.abs(f[:37] - exact)) <= 1e-15
     # Off the root: rational perturbations of rk6 give nonzero exact residuals,
     # which the float tree rows reproduce to rounding.
-    t6 = rk6_tableau()
-    a = [list(row) for row in t6.a]
-    b = list(t6.b)
-    a[3][1] += Fraction(1, 7)
-    a[6][4] -= Fraction(2, 13)
-    b[2] += Fraction(1, 11)
-    perturbed = Tableau(tuple(tuple(row) for row in a), tuple(b))
+    perturbed = perturbed_rk6()
     exact = np.array([float(c.residual) for c in order_residuals(perturbed, 6)])
     assert np.max(np.abs(exact)) > 1e-2
     af, bf, _ = perturbed.as_floats()
@@ -398,18 +403,6 @@ def test_jacobian_matches_forward_difference_oracle():
         xp[m] += h
         oracle[:, m] = (residual_vector(xp, cfg) - f0) / h
     assert np.linalg.norm(j - oracle) / np.linalg.norm(oracle) <= 1e-4
-
-
-def perturbed_rk6():
-    """rk6 moved by small rationals, so that no tree residual is zero."""
-    t6 = rk6_tableau()
-    a = [list(row) for row in t6.a]
-    b = list(t6.b)
-    a[3][1] += Fraction(1, 7)
-    a[6][4] -= Fraction(2, 13)
-    a[7][2] += Fraction(1, 9)
-    b[2] += Fraction(1, 11)
-    return Tableau(tuple(tuple(row) for row in a), tuple(b))
 
 
 def exact_stage_weights(tab, order):
