@@ -66,4 +66,4 @@ from .search import (
 )
 from . import navier_stokes
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"

@@ -17,9 +17,10 @@ Tree densities are likewise built once per program (`_densities`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,24 +30,26 @@ MAX_ORDER = 10
 VERIFIED_ORDER_CAP = 8
 
 
+_LEVEL_SEQUENCE = attrgetter("_levelseq")
+
+
 @dataclass(frozen=True)
 class RootedTree:
     """Unordered rooted tree in canonical form.
 
     Children are stored sorted by their level sequence, so isomorphic
-    trees compare (and hash) equal.
+    trees have one level sequence, by which they compare and hash.
     """
 
-    children: tuple["RootedTree", ...] = ()
+    children: tuple["RootedTree", ...] = field(default=(), compare=False)
+    _levelseq: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        kids = tuple(sorted(self.children, key=lambda t: t.level_sequence(), reverse=True))
+        kids = tuple(sorted(self.children, key=_LEVEL_SEQUENCE, reverse=True))
+        seq = (1, *(d + 1 for k in kids for d in k._levelseq))
         object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "_order", 1 + sum(k.order for k in kids))
-        seq = [1]
-        for k in kids:
-            seq.extend(d + 1 for d in k.level_sequence())
-        object.__setattr__(self, "_levelseq", tuple(seq))
+        object.__setattr__(self, "_order", len(seq))
+        object.__setattr__(self, "_levelseq", seq)
 
     @property
     def order(self) -> int:
@@ -66,21 +69,21 @@ def _trees_of_order(n: int) -> tuple[RootedTree, ...]:
     """Trees of n nodes by level sequence, one root over each multiset of smaller trees."""
     if n == 1:
         return (LEAF,)
+    # Ordered by node count, so a scan stops at the first tree too large to fit.
     pool = [t for k in range(1, n) for t in _trees_of_order(k)]
     trees = []
 
     def extend(prefix, remaining, start):
         if remaining == 0:
-            trees.append(RootedTree(tuple(prefix)))
+            trees.append(RootedTree(prefix))
             return
-        for i, t in enumerate(pool[start:], start):
-            if t.order <= remaining:
-                prefix.append(t)
-                extend(prefix, remaining - t.order, i)
-                prefix.pop()
+        for i in range(start, len(pool)):
+            if pool[i]._order > remaining:
+                break
+            extend((*prefix, pool[i]), remaining - pool[i]._order, i)
 
-    extend([], n - 1, 0)
-    return tuple(sorted(trees, key=RootedTree.level_sequence))
+    extend((), n - 1, 0)
+    return tuple(sorted(trees, key=_LEVEL_SEQUENCE))
 
 
 def enumerate_trees(max_order: int) -> list[RootedTree]:

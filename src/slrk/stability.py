@@ -14,8 +14,9 @@ the kept end's value when the same end is replaced twice running), with
 the scan's own array Horner loop. Only rays with theta in [0, pi] are
 solved: Phi's coefficients are real and IEEE arithmetic is symmetric under
 conjugation, so the ray in the exact conjugate direction takes the same
-radius bit for bit. The real-axis boundary keeps a scalar bisection: a
-one-ray array call costs more than it.
+radius bit for bit. The real-axis scan runs the loop in real arithmetic,
+with the complex loop's bits (its imaginary parts are zeros, and |(r, +-0)| =
+|r|), and keeps a scalar bisection: a one-ray array call costs more than it.
 
 The scan starts past the circles |z| = r that a coefficient bound proves
 unstable. There |Phi(z)| >= |c_d| r^d - sum_{k<d} |c_k| r^k; where exp(Re z2)
@@ -103,7 +104,7 @@ def _effective_magnitude(coeffs: tuple[float, ...], z2: complex, z: np.ndarray) 
     # multiplies a one-element array in place with a scalar loop that rounds
     # unlike its vector loops, so a ray's bits would depend on how many rays
     # are still being solved.
-    acc = np.full(z.shape, coeffs[-1], dtype=complex)
+    acc = np.full(z.shape, coeffs[-1], dtype=np.result_type(z, 1.0))
     for ck in reversed(coeffs[:-1]):
         acc = acc * z
         acc += ck
@@ -264,7 +265,7 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
         raise ValueError("real_axis_boundary requires z2 <= 0")
     rmax = _radius_bound(phi, complex(z2))
     xs = np.linspace(0.0, -rmax, 4097)
-    mags = _effective_magnitude(phi.floats, complex(z2), xs.astype(complex))
+    mags = _effective_magnitude(phi.floats, complex(z2), xs)
     outside = mags > 1.0
     if not outside.any():
         return float(xs[-1])

@@ -23,6 +23,8 @@ class TableauParseError(ValueError):
 
 def _rat(x) -> Fraction:
     """Coerce ints/strings/Fractions to Fraction; floats are rejected."""
+    if type(x) is Fraction:  # immutable, so it is its own exact copy
+        return x
     if isinstance(x, float):
         raise TypeError("tableau coefficients must be exact rationals, not floats")
     return Fraction(x)
@@ -47,11 +49,9 @@ class Tableau:
         if len(a) != s or any(len(row) != s for row in a):
             raise ValueError(f"a must be {s}x{s} to match b of length {s}")
         for i, row in enumerate(a):
-            for j in range(i, s):
-                if row[j] != 0:
-                    raise ValueError(
-                        f"explicit tableau requires a[{i}][{j}] = 0 on/above the diagonal"
-                    )
+            if any(row[i:]):
+                j = next(j for j in range(i, s) if row[j])
+                raise ValueError(f"explicit tableau requires a[{i}][{j}] = 0 on/above the diagonal")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -95,11 +95,7 @@ class Tableau:
 def _tableau_from_rows(rows, b, name):
     """Build a Tableau from ragged strictly-lower rows (row i has i entries)."""
     s = len(b)
-    a = [[Fraction(0)] * s for _ in range(s)]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            a[i][j] = Fraction(x)
-    return Tableau(tuple(tuple(r) for r in a), tuple(Fraction(x) for x in b), name)
+    return Tableau(tuple((*row, *(0,) * (s - len(row))) for row in rows), tuple(b), name)
 
 
 def euler_tableau() -> Tableau:

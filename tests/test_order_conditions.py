@@ -123,6 +123,38 @@ def test_enumeration_deterministic_and_closed_under_canonical_form():
         assert RootedTree(tuple(reversed(t.children))) == t
 
 
+def canonical_level_sequence(seq):
+    """Oracle: a level sequence with each node's subtrees reordered, descending."""
+    kids, i = [], 1
+    while i < len(seq):
+        j = i + 1
+        while j < len(seq) and seq[j] > seq[i]:
+            j += 1
+        kids.append(canonical_level_sequence(tuple(d - 1 for d in seq[i:j])))
+        i = j
+    return (1, *(d + 1 for kid in sorted(kids, reverse=True) for d in kid))
+
+
+def ordered_level_sequences(n):
+    """Oracle: the level sequence of every ordered (plane) tree on n nodes."""
+    def grow(seq):
+        if len(seq) == n:
+            yield tuple(seq)
+            return
+        for depth in range(2, seq[-1] + 2):
+            yield from grow(seq + [depth])
+    return grow([1])
+
+
+def test_enumeration_order_matches_brute_force_oracle():
+    # The order fixes the search's residual rows and the rows verify prints.
+    canonical = {canonical_level_sequence(seq)
+                 for n in range(1, 9) for seq in ordered_level_sequences(n)}
+    oracle = sorted(canonical, key=lambda seq: (len(seq), seq))
+    assert len(oracle) == 200
+    assert [t.level_sequence() for t in enumerate_trees(8)] == oracle
+
+
 def test_isomorphic_trees_compare_equal():
     a = RootedTree((PATH2, LEAF, BUSHY3))
     b = RootedTree((BUSHY3, LEAF, PATH2))

@@ -186,11 +186,25 @@ def reference_real_axis_boundary(phi, z2):
     return float(lo)
 
 
+# z2 from 0 down to -700, where |Phi| nears the float64 range at the scan's far
+# end, two z2 whose exp(z2) rounds to 1, and down to -90 in finer steps, past
+# both z2 of test_real_axis_boundary_returns_where_floats_are_sparse.
+AXIS_Z2 = np.concatenate((np.linspace(-700.0, 0.0, 801), [-1e-300, -5e-324],
+                          np.linspace(-90.0, 0.0, 121)))
+
+
 @pytest.mark.parametrize("make", BUILTINS)
 def test_real_axis_boundary_bitwise_matches_scan_oracle(make):
     phi = stability_polynomial(make())
-    # down to -90, past both z2 of test_real_axis_boundary_returns_where_floats_are_sparse
-    for z2 in np.linspace(-90.0, 0.0, 121):
+    for z2 in AXIS_Z2:
+        # Phi's coefficients and the axis points are real, so a complex Horner
+        # loop's imaginary parts are zeros and |(r, +-0)| = |r|: the real scan
+        # has the complex scan's bits at every point.
+        xs = np.linspace(0.0, -_radius_bound(phi, complex(z2)), 4097)
+        real = stability._effective_magnitude(phi.floats, complex(z2), xs)
+        assert real.dtype == np.float64
+        assert real.tobytes() == stability._effective_magnitude(
+            phi.floats, complex(z2), xs.astype(complex)).tobytes(), z2
         got = real_axis_boundary(phi, z2)
         want = reference_real_axis_boundary(phi, float(z2))
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), z2

@@ -162,6 +162,19 @@ def test_floats_rejected_in_constructor():
         Tableau(((0.0,),), (1.0,))
 
 
+def test_entries_are_fractions_by_type():
+    class Half(Fraction):
+        pass
+
+    tableaux = [make() for make in ALL_BUILTINS]
+    tableaux += [parse_tableau(serialize_tableau(t)) for t in tableaux]
+    tableaux += [parse_tableau("stages 3\n\n1\n-2 3/4\nb: 0 1/2 1/2\n"),
+                 Tableau(((0, 0), (Half(1, 2), 0)), (True, Half(1, 2)))]
+    for t in tableaux:
+        entries = [x for row in t.a for x in row] + list(t.b) + list(t.c)
+        assert all(type(x) is Fraction for x in entries), t
+
+
 @pytest.mark.parametrize("make", ALL_BUILTINS)
 def test_round_trip(make):
     t = make()
