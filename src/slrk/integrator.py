@@ -23,12 +23,12 @@ step's state; ``integrate`` drains it and returns the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .linop import LinearOperator, apply, make_propagator
+from .linop import LinearOperator, _state_shape, apply, make_propagator
 from .tableau import Tableau, abscissa_grid
 
 
@@ -80,6 +80,9 @@ def make_plan(problem: OdeProblem, tableau: Tableau, h: float) -> StepPlan:
     shifts = (0,) * (tableau.s + 1)
     propagator = None
     if problem.A is not None:
+        if not isinstance(problem.A, LinearOperator):
+            raise ValueError(f"A must be a LinearOperator (diagonal_operator or dense_operator), "
+                             f"got {type(problem.A).__name__}")
         delta_c, shifts = abscissa_grid(tableau.c)
         propagator = make_propagator(problem.A, float(delta_c) * h)
     return StepPlan(problem=problem, h=h, propagator=propagator,
@@ -98,12 +101,10 @@ def _workspace(plan: StepPlan, u: np.ndarray):
     if key not in plan._workspaces:
         e, dtype = plan.propagator, np.result_type(u, 1.0)
         if e is not None:
-            want = e.data.shape if e.kind == "diagonal" else e.data.shape[:1]
-            if u.shape != want:
-                raise ValueError(f"state shape {u.shape} does not fit the {e.kind} "
-                                 f"operator of shape {e.data.shape}")
+            if u.shape != _state_shape(e):
+                raise ValueError(f"state shape {u.shape} does not fit the operator {e.data.shape}")
             dtype = np.result_type(dtype, e.data)
-            e = LinearOperator(e.kind, e.data.astype(dtype, copy=False))
+            e = replace(e, data=e.data.astype(dtype, copy=False))
         plan._workspaces[key] = (e, np.empty((len(plan.shifts) + 1,) + u.shape, dtype))
     return plan._workspaces[key]
 

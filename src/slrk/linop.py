@@ -36,13 +36,10 @@ class LinearOperator:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if self.kind == "diagonal":
-            pass
-        elif self.kind == "dense":
-            if data.ndim != 2 or data.shape[0] != data.shape[1]:
-                raise ValueError("dense operator requires a square matrix")
-        else:
+        if self.kind not in ("diagonal", "dense"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.kind == "dense" and (data.ndim != 2 or data.shape[0] != data.shape[1]):
+            raise ValueError("dense operator requires a square matrix")
         if not np.all(np.isfinite(data)):
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "data", data)
@@ -150,6 +147,11 @@ def make_propagator(A: LinearOperator, tau: float) -> LinearOperator:
         raise ValueError(f"exp(tau*A) overflows at tau = {tau:g}") from None
 
 
+def _state_shape(e: LinearOperator) -> tuple[int, ...]:
+    """The shape of one state: the spectrum's (diagonal) or (N,) (dense)."""
+    return e.data.shape if e.kind == "diagonal" else e.data.shape[:1]
+
+
 def apply(e: LinearOperator, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Apply an operator (typically a propagator) to a state, or to a stack of states.
 
@@ -159,11 +161,9 @@ def apply(e: LinearOperator, v: np.ndarray, *, out: np.ndarray | None = None) ->
     C-contiguous matrix when E is column-major, as make_propagator stores
     it. ``out`` receives the result and may be v itself.
     """
-    v = np.asarray(v)
+    v, shape = np.asarray(v), _state_shape(e)
+    if v.shape[v.ndim - len(shape):] != shape:
+        raise ValueError(f"state shape {v.shape} does not fit the {e.kind} operator {e.data.shape}")
     if e.kind == "diagonal":
-        if v.shape[v.ndim - e.data.ndim:] != e.data.shape:
-            raise ValueError(f"state shape {v.shape} != spectrum shape {e.data.shape}")
         return np.multiply(e.data, v, out=out)
-    if v.shape[-1:] != e.data.shape[:1]:
-        raise ValueError(f"state shape {v.shape} incompatible with {e.data.shape} propagator")
     return np.matmul(v, e.data.T, out=out)

@@ -76,10 +76,12 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
-        if self.target_order < 1:
-            raise ValueError("target_order must be >= 1")
+        for name in ("stages", "target_order"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.target_order > MAX_ORDER:
             raise ValueError(f"target_order must be <= {MAX_ORDER}, got {self.target_order}")
         delta_c = Fraction(self.delta_c)
@@ -149,43 +151,40 @@ def _strict_lower(stages: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unpack(x: np.ndarray, stages: int) -> FloatTableau:
-    """Split a packed vector into (a, b); inverse of pack."""
+    """Split packed vectors (..., n) into (a, b) with the same leading axes; inverse of pack."""
     x = np.asarray(x, dtype=float)
-    b = x[:stages].copy()
-    a = np.zeros((stages, stages))
-    a[_strict_lower(stages)] = x[stages:]
+    b = x[..., :stages].copy()
+    a = np.zeros(x.shape[:-1] + (stages, stages))
+    a[(...,) + _strict_lower(stages)] = x[..., stages:]
     return FloatTableau(a=a, b=b)
 
 
 def pack(tab: FloatTableau) -> np.ndarray:
-    """Flatten (b, strictly-lower a) into the search vector."""
-    stages = tab.b.shape[0]
-    return np.concatenate([tab.b, tab.a[_strict_lower(stages)]])
+    """Flatten (b, strictly-lower a) into the search vector, over any leading axes."""
+    stages = tab.b.shape[-1]
+    return np.concatenate([tab.b, tab.a[(...,) + _strict_lower(stages)]], axis=-1)
 
 
 def _residual_batch(xs: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """Residual rows (one column per tree, then c_2..c_s) and phi stack (batch, trees, s)."""
-    s = cfg.stages
-    xs = np.asarray(xs, dtype=float)
-    nbatch = xs.shape[0]
-    b = xs[:, :s]
-    a = np.zeros((nbatch, s, s))
-    rows, cols = _strict_lower(s)
-    a[:, rows, cols] = xs[:, s:]
-
+    a, b = unpack(xs, cfg.stages)
     phi = list(_stage_weights(a, cfg.target_order))
-    phi_all = np.concatenate(phi, axis=1).reshape(nbatch, len(phi), s)
+    phi_all = np.concatenate(phi, axis=1).reshape(len(a), len(phi), cfg.stages)
     f_trees = np.einsum("bi,bni->bn", b, phi_all) - _inv_density(cfg.target_order)
     f_absc = a.sum(axis=2)[:, 1:] - cfg._c_targets
     return np.concatenate([f_trees, f_absc], axis=1), phi_all
 
 
-def residual_vector(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
-    """Order-condition residuals stacked with abscissa-grid deviations."""
+def _unknowns(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (cfg.n_unknowns,):
         raise ValueError(f"expected {cfg.n_unknowns} unknowns, got shape {x.shape}")
-    return _residual_batch(x[None, :], cfg)[0][0]
+    return x
+
+
+def residual_vector(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """Order-condition residuals stacked with abscissa-grid deviations."""
+    return _residual_batch(_unknowns(x, cfg)[None, :], cfg)[0][0]
 
 
 def jacobian(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
@@ -195,9 +194,7 @@ def jacobian(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     do not depend on b. One residual batch holds x +- h_m e_m for each a-unknown
     m, h_m = 1e-6*max(1, |x_m|), then x itself for phi.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.n_unknowns,):
-        raise ValueError(f"expected {cfg.n_unknowns} unknowns, got shape {x.shape}")
+    x = _unknowns(x, cfg)
     s, dim = cfg.stages, x.shape[0]
     h = 1e-6 * np.maximum(1.0, np.abs(x[s:]))
     perturb = np.zeros((dim - s, dim))

@@ -87,6 +87,8 @@ class RegionBoundary:
 def _radius_bound(phi: StabilityPolynomial, z2: complex) -> float:
     # Beyond ~(e^{-Re z2}/|lead|)^{1/deg} the leading term dominates and
     # |Phi_eff| > 1, so double it for a safe outer bracket.
+    if np.isnan(z2.real):
+        raise ValueError(f"Re z2 must be a number, got z2 = {z2}")
     lead = abs(phi.floats[-1])
     deg = phi.degree
     if deg == 0 or lead == 0.0:
@@ -269,9 +271,7 @@ def real_axis_boundary(phi: StabilityPolynomial, z2: complex = 0.0) -> float:
     outside = mags > 1.0
     if not outside.any():
         return float(xs[-1])
-    first_out = int(np.argmax(outside))
-    if first_out == 0:
-        return 0.0
+    first_out = int(np.argmax(outside))  # >= 1: at xs[0] = 0, exp(z2) * |c_0| = exp(z2) <= 1
     lo, hi = xs[first_out - 1], xs[first_out]  # lo stable, hi unstable, lo > hi
     scale = np.exp(z2)
     while abs(lo - hi) > 1e-6:

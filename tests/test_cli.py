@@ -70,6 +70,16 @@ def test_stability_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["parameters"]["samples"] == 64
 
 
+def test_stability_reports_rays_without_a_crossing_on_stderr(tmp_path, capsys):
+    # past exp's overflow every ray reads unstable, so the CSV holds its header only
+    out = tmp_path / "far.csv"
+    code = main(["stability", "--tableau", "rk4", "--z2", "710,0", "--samples", "16",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == f"{out}: 16 rays had no crossing\n"
+    assert out.read_text() == "re(z),im(z)\n"
+
+
 def test_stability_rerun_is_bit_identical(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

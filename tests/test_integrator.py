@@ -327,6 +327,15 @@ def test_plan_rejects_a_state_that_does_not_fit_the_operator(kind, shape, state_
     assert str(state_shape) in message and str(shape) in message and "\n" not in message
 
 
+@pytest.mark.parametrize("A, name", [(np.eye(2), "ndarray"), ([[-1.0]], "list")])
+def test_plan_rejects_an_operator_that_is_not_a_linear_operator(A, name):
+    # Checked when the plan is built: an ndarray would fail inside make_propagator with a TypeError.
+    message = (r"^A must be a LinearOperator \(diagonal_operator or dense_operator\), "
+               f"got {name}$")
+    with pytest.raises(ValueError, match=message):
+        make_plan(OdeProblem(g=lambda v: v, A=A), rk4_tableau(), 0.1)
+
+
 def test_warm_step_allocates_little_beyond_its_result():
     # The stack, the stage and the scratch term are allocated with the plan's
     # workspace on the first step; a later step allocates its result, the

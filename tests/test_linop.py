@@ -1,5 +1,6 @@
 """Propagators: elementwise exponentials and the dense matrix exponential."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from slrk.linop import (
     _PADE13,
     _THETA13,
+    LinearOperator,
     apply,
     dense_operator,
     diagonal_operator,
@@ -303,6 +305,26 @@ def test_dimension_mismatch_errors():
         apply(ed, np.zeros(4))
 
 
+@pytest.mark.parametrize("operator, state, message", [
+    (diagonal_operator(np.zeros(4)), np.zeros(5),
+     "state shape (5,) does not fit the diagonal operator (4,)"),
+    (diagonal_operator(np.zeros((4, 5))), np.zeros((3, 5, 4)),
+     "state shape (3, 5, 4) does not fit the diagonal operator (4, 5)"),
+    (diagonal_operator(np.zeros((4, 5))), np.zeros(5),
+     "state shape (5,) does not fit the diagonal operator (4, 5)"),
+    (dense_operator(np.eye(3)), np.zeros(4),
+     "state shape (4,) does not fit the dense operator (3, 3)"),
+    (dense_operator(np.eye(3)), np.zeros((2, 4)),
+     "state shape (2, 4) does not fit the dense operator (3, 3)"),
+    (dense_operator(np.eye(3)), np.zeros(()),
+     "state shape () does not fit the dense operator (3, 3)"),
+])
+def test_apply_names_the_state_and_operator_shapes(operator, state, message):
+    # One check for both kinds: the state's trailing axes must be one state.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply(make_propagator(operator, 1.0), state)
+
+
 def test_apply_to_a_stack_of_states():
     # Leading dimensions stack states; out may be the stack itself.
     rng = np.random.default_rng(9)
@@ -338,6 +360,11 @@ def test_dense_propagator_is_stored_column_major(scale, squared, dtype):
     e = make_propagator(dense_operator(m), 1.0)
     assert e.data.dtype == dtype and e.data.T.flags.c_contiguous
     assert np.max(np.abs(e.data - taylor_expm(m, 200))) <= 1e-12 * np.max(np.abs(e.data))
+
+
+def test_unknown_operator_kind_is_rejected():
+    with pytest.raises(ValueError, match=r"^unknown operator kind 'sparse'$"):
+        LinearOperator("sparse", np.eye(2))
 
 
 def test_operator_validation():

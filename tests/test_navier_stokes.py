@@ -485,3 +485,9 @@ def test_convergence_study_validation():
         ns.convergence_study(grid, 1e-2, 0.5, [32, 16], reference_steps=256)
     with pytest.raises(ValueError):
         ns.convergence_study(grid, 1e-2, 0.5, [16, 32], reference_steps=64)
+
+
+def test_convergence_study_rejects_a_step_count_of_zero():
+    # slrk ns-converge rejects --steps 0 itself, so only a library call reaches this
+    with pytest.raises(ValueError, match="^step counts must be >= 1, got 0$"):
+        ns.convergence_study(ns.make_grid(16), 1e-2, 0.5, [0, 4], reference_steps=16)

@@ -221,6 +221,11 @@ def test_order_residuals_rk4():
     assert any(c.residual != 0 for c in order5)
 
 
+def test_order_residuals_rejects_order_zero():
+    with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+        order_residuals(rk4_tableau(), 0)
+
+
 def test_verified_order():
     assert verified_order(rk6_tableau()) == 6
     assert verified_order(rk4_tableau()) == 4

@@ -1,6 +1,7 @@
 """Newton search: residuals, Jacobian, stepping, rationalization."""
 
 import importlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -330,6 +331,39 @@ def test_pack_unpack_round_trip():
     assert np.array_equal(pack(unpack(x, 8)), x)
 
 
+def test_unpack_of_a_batch_equals_the_single_vector_unpacks():
+    cfg = rk6_config()
+    xs = np.random.default_rng(17).standard_normal((5, cfg.n_unknowns))
+    batch = unpack(xs, 8)
+    assert batch.a.shape == (5, 8, 8) and batch.b.shape == (5, 8)
+    assert not np.shares_memory(batch.b, xs)  # b is a copy, as for one vector
+    for k, x in enumerate(xs):
+        one = unpack(x, 8)
+        assert batch.a[k].tobytes() == one.a.tobytes() and batch.b[k].tobytes() == one.b.tobytes()
+        assert pack(FloatTableau(batch.a[k], batch.b[k])).tobytes() == x.tobytes()
+    assert pack(batch).tobytes() == xs.tobytes()
+    deep = unpack(xs.reshape(5, 1, -1), 8)  # any number of leading axes
+    assert deep.a.tobytes() == batch.a.tobytes() and deep.a.shape == (5, 1, 8, 8)
+
+
+def test_residual_batch_bits_do_not_depend_on_the_input_layout():
+    # unpack copies b, so a strided view scores as its contiguous copy does
+    cfg = rk6_config()
+    view = np.random.default_rng(19).standard_normal((6, 2 * cfg.n_unknowns))[:, ::2]
+    got = search_module._residual_batch(view, cfg)
+    want = search_module._residual_batch(np.ascontiguousarray(view), cfg)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert residual_vector(view[2], cfg).tobytes() == want[0][2].tobytes()
+
+
+@pytest.mark.parametrize("function", [residual_vector, jacobian])
+@pytest.mark.parametrize("shape", [(35,), (1, 36), ()])
+def test_wrong_number_of_unknowns_is_rejected(function, shape):
+    message = f"expected 36 unknowns, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(np.zeros(shape), rk6_config())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(stages=3, target_order=3, delta_c=Fraction(1, 3),
@@ -364,11 +398,21 @@ def test_one_stage_search_finds_euler():
     ({"stages": 4, "target_order": 2, "delta_c": Fraction(1, 2)},
      "final abscissa 3/2 is not a whole number"),
     ({"target_order": 11}, "target_order"),
+    ({"stages": 0}, "^stages must be >= 1, got 0$"),
+    ({"stages": 8.0}, "^stages must be an integer, got 8.0$"),
+    ({"target_order": 4.5}, "^target_order must be an integer, got 4.5$"),
+    ({"target_order": "4"}, "^target_order must be an integer, got '4'$"),
+    ({"c_pattern": (0, Fraction(1, 3))}, "^c_pattern length must equal stages$"),
 ])
 def test_config_rejects_bad_iteration_settings(bad, message):
     kw = {"stages": 3, "target_order": 3, "delta_c": Fraction(1, 3), **bad}
     with pytest.raises(ValueError, match=message):
         SearchConfig(**kw)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = SearchConfig(stages=np.int64(3), target_order=np.int32(3), delta_c=Fraction(1, 3))
+    assert cfg.n_unknowns == 6
 
 
 def test_config_allows_zero_iterations():

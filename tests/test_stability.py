@@ -519,6 +519,20 @@ def test_boundary_beyond_float_range_is_an_error(name, z2):
         real_axis_boundary(phi, z2)
 
 
+@pytest.mark.parametrize("name", ["euler", "rk6"])
+@pytest.mark.parametrize("boundary, z2, shown", [
+    (region_boundary, float("nan"), "(nan+0j)"),
+    (region_boundary, complex(float("nan"), 1.0), "(nan+1j)"),
+    (real_axis_boundary, float("nan"), "(nan+0j)"),
+    (real_axis_boundary, complex(float("nan"), 1.0), "(nan+0j)"),  # it reads Re z2 only
+])
+def test_nan_z2_is_rejected_with_its_own_message(name, boundary, z2, shown):
+    # not "reaches beyond the float64 range", which the NaN radius bound would report
+    phi = stability_polynomial(BUILTIN_TABLEAUX[name]())
+    with pytest.raises(ValueError, match=f"^Re z2 must be a number, got z2 = {re.escape(shown)}$"):
+        boundary(phi, z2)
+
+
 def test_rk4_boundary_near_the_float_range():
     # at -705 rk4's bound still fits (rk6's does not): every ray crosses, none at the origin
     boundary = region_boundary(stability_polynomial(rk4_tableau()), -705.0, 16)
